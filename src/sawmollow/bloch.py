@@ -19,7 +19,8 @@ cycle.  Three routes into it live here:
   x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
   and solve the resulting block-tridiagonal linear system;
 * :func:`monodromy` -- fundamental matrix over one period (stability, and
-  the backbone of the two-time correlator in the spectrum module).
+  the backbone of the time-domain correlator that the spectrum module
+  keeps as an oracle).
 """
 
 from __future__ import annotations
@@ -121,9 +122,6 @@ class BlochGenerator:
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.matrix(t) @ x + self.inhomogeneous
-
-    def rhs_homogeneous(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.matrix(t) @ x
 
 
 @dataclass(frozen=True)
@@ -264,10 +262,6 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         n_harmonics = default_harmonics(gen.drive)
     if n_harmonics < 1:
         raise ValueError("n_harmonics must be >= 1")
-    if gen.phase != 0.0:
-        # cos(w t + phase) shifts the harmonic couplings by e^{+-i phase};
-        # handled by rotating the coupling blocks below.
-        pass
 
     w = gen.drive.omega_S.rad
     a_mat = gen.static_part

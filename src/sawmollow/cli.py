@@ -69,7 +69,6 @@ from .model import (
 from .spectrum import (
     InstrumentModel,
     SpectrumPipelineConfig,
-    UndecayedCorrelatorError,
     spectrum_map,
 )
 
@@ -139,9 +138,11 @@ def _json_dump(obj, out, indent=0):
 
 
 def _metadata(args, extra=None) -> dict:
+    """Resolved physics and numerics inputs; execution-only settings such as
+    --jobs stay out so that they cannot change the output bytes."""
     meta = {"version": __version__, "hbar_J_s": HBAR, "k_B_J_per_K": KB}
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "out", "format") or value is None:
+        if key in ("func", "out", "format", "jobs") or value is None:
             continue
         meta[key] = value
     if extra:
@@ -264,9 +265,8 @@ def _pipeline(args) -> SpectrumPipelineConfig:
     half = args.window_ghz
     return SpectrumPipelineConfig(
         window=(Frequency.from_ghz(-half), Frequency.from_ghz(half)),
-        n_freq=args.points, n_phase=args.n_phase,
-        n_diffusion_nodes=args.nodes,
-        floquet_tol=args.tol, ode_tol=args.tol)
+        n_freq=args.points, n_diffusion_nodes=args.nodes,
+        floquet_tol=args.tol)
 
 
 def _jobs(args) -> int:
@@ -521,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-ghz", type=float, default=12.0,
                    help="half-width of the frequency window")
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--n-phase", type=int, default=16)
     p.add_argument("--nodes", type=int, default=21,
                    help="Gauss-Hermite nodes for the diffusion average")
     p.set_defaults(func=cmd_spectrum)
@@ -535,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-points", type=int, default=11)
     p.add_argument("--window-ghz", type=float, default=12.0)
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--n-phase", type=int, default=16)
     p.add_argument("--nodes", type=int, default=21)
     p.set_defaults(func=cmd_spectrum_map)
 
@@ -637,9 +635,11 @@ def _apply_config_file(parser, argv):
     if not known.config:
         return
     raw = _load_config_file(known.config)
+    unknown = set(raw)
     for action_parser in parser._subparsers._group_actions[0].choices.values():
         defaults = {}
         for action in action_parser._actions:
+            unknown.discard(action.dest)
             if action.dest in raw:
                 text = raw[action.dest]
                 if action.type is not None:
@@ -654,6 +654,9 @@ def _apply_config_file(parser, argv):
                     defaults[action.dest] = text
         if defaults:
             action_parser.set_defaults(**defaults)
+    if unknown:
+        raise ConfigError(f"{known.config}: no command takes "
+                          f"{', '.join(sorted(unknown))}")
 
 
 def main(argv=None) -> int:
@@ -667,7 +670,7 @@ def main(argv=None) -> int:
             raise ConfigError("--out is required for this command")
         return args.func(args)
     except (ConvergenceError, IntegrationError, DegenerateSystemError,
-            UndecayedCorrelatorError, RuntimeError) as exc:
+            RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except ConfigError as exc:

@@ -1,21 +1,35 @@
 """Resonance fluorescence spectra via the quantum regression theorem.
 
-Pipeline: Floquet limit cycle -> two-time correlator <s+(t) s-(t+tau)>
-averaged over the acoustic phase -> one-sided Fourier transform relative to
-the laser -> Gaussian spectral-diffusion average -> etalon convolution.
+Pipeline: Floquet limit cycle -> phase-averaged spectrum from the Floquet
+(Sambe-space) resolvent -> Gaussian spectral-diffusion average -> etalon
+convolution.
 
 The regression step uses the linearity of the Bloch equations: a regression
 initial condition rho(t0) s+ maps to the generalized expectation vector
 u = (0, rho_ee(t0), -<s+>(t0)) with the constant term of the equations
-scaled by tr[rho(t0) s+] = <s+>(t0).  All phase offsets t0 reuse one
-fundamental-matrix integration, since u(t0 + tau) =
-Phi(t0+tau) c + <s+>(t0) p(t0+tau) with c fixed by the initial condition.
+scaled by tr[rho(t0) s+] = <s+>(t0).  As tau grows, u(tau) approaches the
+coherent plateau <s+>(t0) x(t0 + tau); the deviation obeys the homogeneous
+equations from d(t0) = (0, rho_ee, -<s+>)(t0) - <s+>(t0) x(t0).
 
-The correlator does not decay to zero: coherent scattering leaves a
-periodic plateau whose harmonics transform into delta lines at multiples
-of the acoustic frequency.  The plateau is removed exactly (its harmonic
-coefficients follow from the Floquet solution) and recorded as discrete
-coherent weights on the Spectrum.
+Written in harmonics of the end time t0 + tau, the deviation evolves under
+the harmonic-balance operator L of the limit cycle (diagonal blocks
+A - i k w, neighbours B/2), and its phase average is the k = 0 block.  The
+incoherent spectrum is therefore exactly
+
+    S(nu) = (1/pi) Re [((-i nu - L)^-1 D)_0]_1,
+
+with D the harmonics of d (Sambe, PRA 7, 2203 (1973)).
+:func:`resolvent_spectrum` solves only the central block, eliminating the
+block-tridiagonal system from both ends toward k = 0 -- a matrix continued
+fraction (Risken, The Fokker-Planck Equation, ch. 9) -- on any frequency
+grid at once.
+
+The plateau's harmonics become delta lines at multiples of the acoustic
+frequency, recorded as discrete coherent weights on the Spectrum.
+
+The time-domain route -- :func:`two_time_correlator` (fundamental-matrix
+propagation averaged over discrete phases) and its direct Fourier sum
+:func:`transform_correlator` -- is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -244,15 +258,125 @@ def transform_correlator(corr: CorrelatorSeries, freqs: np.ndarray,
                     meta=meta)
 
 
-def emission_spectrum(corr: CorrelatorSeries, freq_window, n_freq: int,
-                      decay_tol: float = 1e-4) -> Spectrum:
-    """Spectrum on a uniform grid over freq_window = (lo, hi) around the laser."""
+def _uniform_grid(freq_window, n_freq: int) -> np.ndarray:
     lo, hi = (_as_rad(freq_window[0]), _as_rad(freq_window[1]))
     if not hi > lo:
         raise ValueError("freq_window must be increasing")
     if n_freq < 2:
         raise ValueError("n_freq must be >= 2")
-    return transform_correlator(corr, np.linspace(lo, hi, n_freq), decay_tol)
+    return np.linspace(lo, hi, n_freq)
+
+
+def emission_spectrum(corr: CorrelatorSeries, freq_window, n_freq: int,
+                      decay_tol: float = 1e-4) -> Spectrum:
+    """Spectrum on a uniform grid over freq_window = (lo, hi) around the laser."""
+    return transform_correlator(corr, _uniform_grid(freq_window, n_freq),
+                                decay_tol)
+
+
+def _regression_source(fs) -> np.ndarray:
+    """Harmonics of d(t) = (0, rho_ee, -s+)(t) - s+(t) x(t), orders -n..n."""
+    n = fs.n_harmonics
+    sp, sm, sz = fs.harmonics.T
+
+    def times_sp(a):
+        # Orders -n..n of the product s+(t) a(t); the convolution spans -2n..2n.
+        return np.convolve(sp, a)[n:3 * n + 1]
+
+    d = np.empty((2 * n + 1, 3), dtype=complex)
+    d[:, 0] = -times_sp(sp)
+    d[:, 1] = 0.5 * sz - times_sp(sm)
+    d[n, 1] += 0.5
+    d[:, 2] = -sp - times_sp(sz)
+    return d
+
+
+def _central_resolvent(gen: BlochGenerator, d: np.ndarray,
+                       freqs: np.ndarray) -> np.ndarray:
+    """s- component of ((-i nu - L)^-1 D)_0 at every nu in freqs.
+
+    Block k of (-i nu - L) is G_k = s + i k w - A with s = -i nu, coupled
+    to k +- 1 by H = -B/2 = diag(h, -h, 0), h = -i rabi_S.  Eliminating the
+    tail beyond k leaves G_k - Sigma_{k+1} with the self-energy
+    Sigma = H W^-1 H; since H has no s_z entry, only the s+/s- block of
+    W^-1 is needed, and the s_z row of each block is removed in closed form
+    (Schur complement on z = G_k[2, 2]).  Orders k and -k are eliminated
+    together on a leading axis of length 2.
+    """
+    n = (d.shape[0] - 1) // 2
+    g = gen.emitter.gamma.rad
+    delta = gen.drive.delta.rad
+    wl = gen.drive.rabi_L.rad
+    rs2 = gen.drive.rabi_S.rad ** 2
+    h = -1j * gen.drive.rabi_S.rad
+    w = gen.drive.omega_S.rad
+    s = -1j * freqs
+    half_wl2 = 0.5 * wl * wl
+    e = 0.5j * wl               # G_k[0, 2] = -G_k[1, 2]
+
+    def reduce(k_w, dk, sig, hq):
+        """Schur-reduced 2x2 block K and right-hand side at k_w = k w."""
+        inv_z = 1.0 / (s + (1j * k_w + g))
+        c = half_wl2 * inv_z
+        ez = (e * dk[2]) * inv_z
+        k00 = s + (1j * (k_w + delta) + 0.5 * g) + c - sig[0]
+        k11 = s + (1j * (k_w - delta) + 0.5 * g) + c - sig[3]
+        k01 = -c - sig[1]
+        k10 = -c - sig[2]
+        r0 = dk[0] - hq[0] - ez
+        r1 = dk[1] - hq[1] + ez
+        return k00, k01, k10, k11, r0, r1
+
+    sig = np.zeros((4, 2, 1), dtype=complex)   # Sigma_00, _01, _10, _11
+    hq = np.zeros((2, 2, 1), dtype=complex)    # first two entries of H q
+    pm = np.array([[1.0], [-1.0]])
+    for k in range(n, 0, -1):
+        dk = d[[n + k, n - k]].T[:, :, None]   # (3, 2, 1): orders k and -k
+        k00, k01, k10, k11, r0, r1 = reduce(pm * (k * w), dk, sig, hq)
+        inv_det = 1.0 / (k00 * k11 - k01 * k10)
+        # q = K^-1 r; Sigma = H K^-1 H with H_00 H_00 = H_11 H_11 = -rabi_S^2
+        # and H_00 H_11 = rabi_S^2.
+        hq = np.stack([h * (k11 * r0 - k01 * r1), -h * (k00 * r1 - k10 * r0)])
+        hq *= inv_det
+        sig = np.stack([k11, k01, k10, k00])
+        sig *= -rs2 * inv_det
+    k00, k01, k10, k11, r0, r1 = reduce(
+        0.0, d[n], sig.sum(axis=1), hq.sum(axis=1))
+    return (k00 * r1 - k10 * r0) / (k00 * k11 - k01 * k10)
+
+
+def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
+                       floquet_tol: float = 1e-10) -> Spectrum:
+    """Pre-instrument spectrum of one drive on a frequency grid.
+
+    The incoherent part is the exact phase-averaged Floquet resolvent (see
+    the module docstring), truncated at the harmonic order the limit cycle
+    converged at; the coherent plateau is carried as delta weights
+    Re(m_k s+_{-k}) at k omega_S, m_k being the s- harmonics.  freqs are
+    offsets from the laser in rad/s, strictly increasing (not necessarily
+    uniform).
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
+        raise ValueError("freqs must be a strictly increasing 1-d grid")
+    gen = BlochGenerator(config, emitter)
+    fs = floquet_steady_state(gen, tol=floquet_tol)
+    intensity = _central_resolvent(gen, _regression_source(fs), freqs).real
+    intensity /= math.pi
+
+    peak = float(np.max(intensity))
+    trough = float(np.min(intensity))
+    intensity = np.maximum(intensity, -1e-9 * peak)
+
+    rho_ee_bar = fs.mean_rho_ee
+    m_k = fs.component_harmonics(1)
+    coh_w = (m_k * fs.component_harmonics(0)[::-1]).real
+    keep = coh_w > 1e-14 * max(rho_ee_bar, 1e-300)
+    meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
+            "rho_ee_bar": rho_ee_bar, "min_intensity_preclip": trough}
+    return Spectrum(freqs, intensity, config,
+                    coherent_freqs=fs.orders[keep] * config.omega_S.rad,
+                    coherent_weights=coh_w[keep], meta=meta)
 
 
 def _gauss_nodes(fwhm_rad: float, n_nodes: int):
@@ -314,6 +438,13 @@ def _lorentzian(nu: np.ndarray, fwhm: float) -> np.ndarray:
     return (hw / math.pi) / (nu * nu + hw * hw)
 
 
+def _check_etalon_window(window: float, model: InstrumentModel) -> None:
+    if window > model.etalon_fsr.rad * (1.0 + 1e-12):
+        raise AliasingError(
+            f"window {window / TWO_PI / 1e9:.3f} GHz exceeds the etalon free "
+            f"spectral range {model.etalon_fsr.ghz:.3f} GHz")
+
+
 def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
     """Convolve with the etalon's unit-area Lorentzian transmission.
 
@@ -324,11 +455,7 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
     rejected.
     """
     fwhm = model.etalon_fwhm.rad
-    window = float(spec.freqs[-1] - spec.freqs[0])
-    if window > model.etalon_fsr.rad * (1.0 + 1e-12):
-        raise AliasingError(
-            f"window {window / TWO_PI / 1e9:.3f} GHz exceeds the etalon free "
-            f"spectral range {model.etalon_fsr.ghz:.3f} GHz")
+    _check_etalon_window(float(spec.freqs[-1] - spec.freqs[0]), model)
     if fwhm == 0.0:
         return spec.with_intensity(spec.intensity, {"etalon_fwhm": 0.0})
 
@@ -361,33 +488,21 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
 
 @dataclass(frozen=True)
 class SpectrumPipelineConfig:
-    """Numerical knobs of the correlator -> spectrum pipeline."""
+    """Frequency grid, diffusion quadrature and tolerance of the pipeline."""
 
     window: tuple = (Frequency.from_ghz(-12.0), Frequency.from_ghz(12.0))
     n_freq: int = 2001
-    n_phase: int = 16
-    tau_lifetimes: float = 30.0    # tau_max in units of 1/gamma
-    nyquist_margin: float = 4.0    # dtau = pi / (margin * max |window|)
     n_diffusion_nodes: int = 21
     floquet_tol: float = 1e-10
-    ode_tol: float = 1e-10
-
-    def tau_grid(self, gamma_rad: float):
-        lo, hi = _as_rad(self.window[0]), _as_rad(self.window[1])
-        nu_max = max(abs(lo), abs(hi))
-        dtau = math.pi / (self.nyquist_margin * nu_max)
-        return self.tau_lifetimes / gamma_rad, dtau
 
 
 def single_spectrum(config: DriveConfig, emitter: EmitterParams,
                     pipeline: SpectrumPipelineConfig | None = None) -> Spectrum:
-    """Pre-instrument spectrum of one drive condition."""
+    """Pre-instrument spectrum of one drive condition on the pipeline grid."""
     pipeline = pipeline or SpectrumPipelineConfig()
-    tau_max, dtau = pipeline.tau_grid(emitter.gamma.rad)
-    gen = BlochGenerator(config, emitter)
-    corr = two_time_correlator(gen, tau_max, dtau, pipeline.n_phase,
-                               pipeline.floquet_tol, pipeline.ode_tol)
-    return emission_spectrum(corr, pipeline.window, pipeline.n_freq)
+    return resolvent_spectrum(
+        config, emitter, _uniform_grid(pipeline.window, pipeline.n_freq),
+        pipeline.floquet_tol)
 
 
 def _map_one(args):
@@ -409,12 +524,18 @@ def spectrum_map(sweep, emitter: EmitterParams,
                  jobs: int = 1) -> list[Spectrum]:
     """Full pipeline over a sweep of drive configs, order-preserving.
 
-    Per-config failures are aggregated and reported with their indices.
+    An invalid frequency grid raises ValueError, and a window wider than
+    the etalon's free spectral range :class:`AliasingError`, before any
+    spectrum is computed; per-config failures are aggregated and reported
+    with their indices.
     """
     sweep = list(sweep)
     if not sweep:
         raise ValueError("sweep must be nonempty")
     pipeline = pipeline or SpectrumPipelineConfig()
+    freqs = _uniform_grid(pipeline.window, pipeline.n_freq)
+    if instrument is not None and instrument.etalon_fwhm.rad > 0:
+        _check_etalon_window(float(freqs[-1] - freqs[0]), instrument)
     tasks = [(cfg, emitter, instrument, pipeline) for cfg in sweep]
     results = [None] * len(tasks)
     failures = []

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sawmollow.cli import main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
@@ -73,6 +74,32 @@ class TestSpectrumCommand:
 
     def test_missing_out_exits_2(self, capsys):
         assert run(["spectrum"]) == 2
+
+    def test_etalon_window_beyond_fsr_exits_2(self, tmp_path, capsys):
+        """The default +-12 GHz window exceeds the 20 GHz FSR: a config
+        error, reported before any spectrum is computed."""
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--etalon-mhz", 525, "--out", out]) == 2
+        assert "free spectral range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_grid_exits_2(self, tmp_path, capsys):
+        assert run(["spectrum", "--points", 1,
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "n_freq" in capsys.readouterr().err
+
+    def test_removed_n_phase_flag_rejected(self, tmp_path):
+        for command in ("spectrum", "spectrum-map"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--n-phase", 16, "--out", tmp_path / "x.csv"])
+            assert exc.value.code == 2
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 51\nn_phase = 16\n")
+        assert run(["spectrum", "--config", cfg,
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "n_phase" in capsys.readouterr().err
 
 
 class TestMapsAndLines:
@@ -191,7 +218,7 @@ class TestConfigRoundTrip:
                     "--out", first]) == 0
         knob_keys = {"delta_ghz", "rabi_l_ghz", "rabi_s_ghz", "omega_s_ghz",
                      "gamma_mhz", "diffusion_mhz", "etalon_mhz", "fsr_ghz",
-                     "window_ghz", "points", "n_phase", "nodes", "tol"}
+                     "window_ghz", "points", "nodes", "tol"}
         cfg_lines = []
         for line in first.read_text().splitlines():
             if not line.startswith("# "):
@@ -212,6 +239,15 @@ class TestConfigRoundTrip:
 
 
 class TestJobsEnvironment:
+    def test_jobs_do_not_change_output_bytes(self, tmp_path):
+        args = ["spectrum-map", "--sweep", "delta", "--sweep-start", -1,
+                "--sweep-stop", 1, "--sweep-points", 3, "--rabi-l-ghz", 2,
+                "--window-ghz", 4, "--points", 41]
+        serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
+        assert run(args + ["--jobs", 1, "--out", serial]) == 0
+        assert run(args + ["--jobs", 2, "--out", parallel]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_env_fallback_parsed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MOLLOW_JOBS", "2")
         out = tmp_path / "m.csv"

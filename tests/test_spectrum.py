@@ -12,9 +12,12 @@ from sawmollow.spectrum import (
     InstrumentModel,
     SpectrumPipelineConfig,
     UndecayedCorrelatorError,
+    _central_resolvent,
+    _regression_source,
     apply_etalon,
     apply_spectral_diffusion,
     emission_spectrum,
+    resolvent_spectrum,
     single_spectrum,
     spectrum_map,
     transform_correlator,
@@ -221,6 +224,65 @@ class TestEmissionSpectrum:
         assert dev < 1e-3 * base.intensity.max()
 
 
+# Drives of the equivalence checks: Rabi resonance, both signs of the
+# +-1.65 GHz cancellation locus, a weak drive, a detuned strong drive and
+# the unmodulated Mollow case.
+ORACLE_DRIVES = {
+    "rabi_resonance": (0.0, 3.5299, 1.75),
+    "locus_red": (-1.65, 2.625, 1.75),
+    "locus_blue": (1.65, 2.625, 1.75),
+    "weak": (0.0, 0.5, 0.3),
+    "detuned_strong": (2.5, 5.0, 1.75),
+    "plain_mollow": (0.0, 7.9, 0.0),
+}
+
+
+class TestResolventSpectrum:
+    """The resolvent route against the time-domain correlator oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DRIVES))
+    def test_matches_time_domain_oracle(self, emitter, name):
+        drive = DriveConfig.from_ghz(*ORACLE_DRIVES[name], 3.5299)
+        freqs = np.linspace(-12.0, 12.0, 601) * GHZ
+        gen = BlochGenerator(drive, emitter)
+        corr = two_time_correlator(gen, 30.0 / emitter.gamma.rad,
+                                   math.pi / (4.0 * 12.0 * GHZ), n_phase=16)
+        oracle = transform_correlator(corr, freqs)
+        spec = resolvent_spectrum(drive, emitter, freqs)
+        peak = oracle.intensity.max()
+        assert np.max(np.abs(spec.intensity - oracle.intensity)) <= 1e-6 * peak
+        assert spec.meta["rho_ee_bar"] == pytest.approx(oracle.meta["rho_ee_bar"],
+                                                        rel=1e-12)
+        lines = dict(zip(oracle.coherent_freqs, oracle.coherent_weights))
+        for nu, weight in zip(spec.coherent_freqs, spec.coherent_weights):
+            assert abs(weight - lines.pop(nu, 0.0)) <= 1e-10 * corr.rho_ee_bar
+        assert all(abs(w) <= 1e-10 * corr.rho_ee_bar for w in lines.values())
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DRIVES))
+    def test_doubling_truncation_leaves_spectrum_unchanged(self, emitter, name):
+        drive = DriveConfig.from_ghz(*ORACLE_DRIVES[name], 3.5299)
+        freqs = np.linspace(-12.0, 12.0, 601) * GHZ
+        gen = BlochGenerator(drive, emitter)
+        fs = floquet_steady_state(gen)
+        wide = floquet_steady_state(gen, n_harmonics=2 * fs.n_harmonics)
+        base = _central_resolvent(gen, _regression_source(fs), freqs).real
+        doubled = _central_resolvent(gen, _regression_source(wide), freqs).real
+        assert np.max(np.abs(base - doubled)) < 1e-9 * base.max()
+
+    def test_truncation_is_the_floquet_order(self, emitter, drive_resonant):
+        freqs = np.linspace(-5.0, 5.0, 11) * GHZ
+        spec = resolvent_spectrum(drive_resonant, emitter, freqs)
+        fs = floquet_steady_state(BlochGenerator(drive_resonant, emitter))
+        assert spec.meta["n_harmonics"] == fs.n_harmonics
+        assert spec.meta["floquet_residual"] == fs.residual
+
+    def test_rejects_bad_grid(self, emitter, drive_resonant):
+        for freqs in ([0.0], [1.0, 0.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                resolvent_spectrum(drive_resonant, emitter,
+                                   np.asarray(freqs) * GHZ)
+
+
 class TestSpectralDiffusion:
     def test_zero_width_is_identity(self, emitter, drive_resonant):
         model = InstrumentModel(diffusion_fwhm=Frequency(0.0))
@@ -373,13 +435,27 @@ class TestSpectrumMap:
 
     def test_failures_aggregated_with_indices(self, emitter):
         good = DriveConfig.from_ghz(0.0, 2.0, 0.0, 3.5299)
-        # A sub-nyquist window cannot fail, so break the second entry by
-        # asking for an impossible decay precondition via huge gamma... the
-        # cleanest deterministic failure is an undecayed correlator from a
-        # tiny tau horizon.
-        pipe = SpectrumPipelineConfig(n_freq=101, tau_lifetimes=1.0)
-        with pytest.raises(RuntimeError, match="index 0"):
+        # A Floquet tolerance below double-precision rounding is never met,
+        # so every config raises ConvergenceError once the truncation cap
+        # is reached.
+        pipe = SpectrumPipelineConfig(n_freq=101, floquet_tol=1e-20)
+        with pytest.raises(RuntimeError, match="index 0") as err:
             spectrum_map([good], emitter, None, pipe)
+        assert "harmonic balance not converged" in str(err.value)
+
+    def test_etalon_window_beyond_fsr_rejected_before_compute(
+            self, emitter, monkeypatch):
+        import sawmollow.spectrum as spectrum
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("spectrum computed before the FSR check")
+
+        monkeypatch.setattr(spectrum, "floquet_steady_state", no_compute)
+        model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525),
+                                etalon_fsr=Frequency.from_ghz(20.0))
+        drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
+        with pytest.raises(AliasingError):
+            spectrum_map([drive], emitter, model, SpectrumPipelineConfig())
 
     def test_empty_sweep_rejected(self, emitter):
         with pytest.raises(ValueError):
