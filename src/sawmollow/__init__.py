@@ -9,7 +9,6 @@ from .model import (
     EmitterParams,
     Frequency,
     Spectrum,
-    generalized_rabi,
     thermal_occupation,
 )
 from .bloch import (
@@ -33,7 +32,6 @@ __all__ = [
     "Frequency",
     "Spectrum",
     "floquet_steady_state",
-    "generalized_rabi",
     "monodromy",
     "propagate",
     "thermal_occupation",

@@ -35,19 +35,26 @@ from .model import DriveConfig, EmitterParams, TWO_PI
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed; carries the last good time."""
+    """Adaptive integration failed; carries the last good time.  Like
+    ConvergenceError, it keeps its fields in args so that it pickles."""
 
     def __init__(self, message: str, t_last: float):
-        super().__init__(f"{message} (last good time {t_last:.6e} s)")
+        super().__init__(message, t_last)
         self.t_last = t_last
+
+    def __str__(self):
+        return f"{self.args[0]} (last good time {self.t_last:.6e} s)"
 
 
 class ConvergenceError(RuntimeError):
     """Harmonic-balance truncation did not converge below tolerance."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+        super().__init__(message, residual)
         self.residual = residual
+
+    def __str__(self):
+        return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
 class DegenerateSystemError(RuntimeError):

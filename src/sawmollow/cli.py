@@ -98,6 +98,14 @@ def _fmt(x) -> str:
     return format(v, ".17g")
 
 
+# Control characters (C0, DEL, C1, line/paragraph separators) are escaped
+# in written strings, so no value can break a header line or a JSON string.
+_ESCAPES = {c: f"\\u{c:04x}"
+            for c in [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
+_JSON_ESCAPES = {**_ESCAPES, ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
 def _json_dump(obj, out, indent=0):
     """Minimal JSON writer: sorted keys, 17-significant-digit floats."""
     pad = "  " * indent
@@ -108,7 +116,7 @@ def _json_dump(obj, out, indent=0):
         out.write("{\n")
         keys = sorted(obj, key=str)
         for i, k in enumerate(keys):
-            out.write(f'{pad}  "{k}": ')
+            out.write(f'{pad}  "{str(k).translate(_JSON_ESCAPES)}": ')
             _json_dump(obj[k], out, indent + 1)
             out.write(",\n" if i < len(keys) - 1 else "\n")
         out.write(pad + "}")
@@ -124,8 +132,7 @@ def _json_dump(obj, out, indent=0):
                 out.write(", ")
         out.write("]")
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.write(f'"{escaped}"')
+        out.write('"' + obj.translate(_JSON_ESCAPES) + '"')
     elif obj is None:
         out.write("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -155,8 +162,9 @@ def emit(rows, columns, path, fmt, meta):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "csv":
-                for key in sorted(meta):
-                    fh.write(f"# {key} = {_fmt(meta[key]) if not isinstance(meta[key], str) else meta[key]}\n")
+                for key, v in sorted(meta.items()):
+                    v = v if isinstance(v, str) else _fmt(v)
+                    fh.write(f"# {key} = {v}".translate(_ESCAPES) + "\n")
                 fh.write(",".join(columns) + "\n")
                 for row in rows:
                     fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -188,8 +196,8 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "csv":
-                for key in sorted(meta):
-                    fh.write(f"# {key} = {meta[key]}\n")
+                for key, v in sorted(meta.items()):
+                    fh.write(f"# {key} = {v}".translate(_ESCAPES) + "\n")
                 fh.write("key,value\n")
                 flat = dict(payload)
                 flat.pop("meta")
@@ -199,7 +207,8 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
                             fh.write(f"{group}.{k},{_fmt(v)}\n")
                 flat.pop("covariance", None)
                 for k, v in sorted(flat.items()):
-                    fh.write(f"{k},{v if isinstance(v, str) else _fmt(v)}\n")
+                    v = v.translate(_ESCAPES) if isinstance(v, str) else _fmt(v)
+                    fh.write(f"{k},{v}\n")
             else:
                 _json_dump(payload, fh)
                 fh.write("\n")
@@ -215,10 +224,35 @@ def _add_common(p):
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--out", required=False, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_map_flags(p, nodes: int, tol: float | None = None):
+    """--nodes and --jobs of the map commands, and --tol where the map
+    solves the harmonic balance."""
+    p.add_argument("--nodes", type=int, default=nodes,
+                   help="Gauss-Hermite nodes for the diffusion average")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel workers (default: MOLLOW_JOBS or 1)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="steady-state residual tolerance")
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol,
+                       help="harmonic-balance (Floquet) residual tolerance")
+
+
+def _add_drive_sweep(p, points: int):
+    p.add_argument("--sweep", choices=("rabi-l", "delta"), default="rabi-l")
+    p.add_argument("--sweep-start", type=float, default=0.5)
+    p.add_argument("--sweep-stop", type=float, default=5.5)
+    p.add_argument("--sweep-points", type=int, default=points)
+
+
+def _add_grid(p, rabi_start: float, points: int):
+    """Detuning x Rabi-frequency grid (GHz) of the cooling maps."""
+    p.add_argument("--delta-start", type=float, default=-5.0)
+    p.add_argument("--delta-stop", type=float, default=5.0)
+    p.add_argument("--delta-points", type=int, default=points)
+    p.add_argument("--rabi-start", type=float, default=rabi_start)
+    p.add_argument("--rabi-stop", type=float, default=rabi_start + 5.0)
+    p.add_argument("--rabi-points", type=int, default=points)
 
 
 def _add_physics(p, diffusion_default=0.0, etalon_default=0.0):
@@ -242,8 +276,7 @@ def _check_nonneg(args, names):
 def _emitter(args) -> EmitterParams:
     if args.gamma_mhz <= 0:
         raise ConfigError("--gamma-mhz must be positive")
-    return EmitterParams.from_ghz(args.gamma_mhz / 1e3,
-                                  args.diffusion_mhz / 1e3)
+    return EmitterParams.from_ghz(args.gamma_mhz / 1e3)
 
 
 def _drive(args, delta=None, rabi_l=None) -> DriveConfig:
@@ -270,21 +303,26 @@ def _pipeline(args) -> SpectrumPipelineConfig:
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("MOLLOW_JOBS")
-    if env:
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("MOLLOW_JOBS") or "1"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError as exc:
             raise ConfigError(f"MOLLOW_JOBS is not an integer: {env!r}") from exc
-    return 1
+    if jobs < 1:
+        raise ConfigError("--jobs (or MOLLOW_JOBS) must be >= 1")
+    return jobs
 
 
-def _sweep_values(args) -> np.ndarray:
+def _drive_sweep(args):
+    """Swept values, their drive configs and the swept column's name."""
     if args.sweep_points < 1:
         raise ConfigError("--sweep-points must be >= 1")
-    return np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
+    values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
+    if args.sweep == "rabi-l":
+        return values, [_drive(args, rabi_l=v) for v in values], "rabiL_GHz"
+    return values, [_drive(args, delta=v) for v in values], "delta_GHz"
 
 
 def _spectrum_rows(spec: Spectrum, prefix=()):
@@ -299,11 +337,8 @@ def _spectrum_rows(spec: Spectrum, prefix=()):
 def cmd_spectrum(args):
     _check_nonneg(args, ["rabi_l_ghz", "rabi_s_ghz", "diffusion_mhz",
                          "etalon_mhz"])
-    emitter = _emitter(args)
-    drive = _drive(args)
-    specs = spectrum_map([drive], emitter, _instrument(args), _pipeline(args),
-                         jobs=1)
-    spec = specs[0]
+    (spec,) = spectrum_map([_drive(args)], _emitter(args), _instrument(args),
+                           _pipeline(args), jobs=_jobs(args))
     extra = {"rho_ee_bar": spec.meta.get("rho_ee_bar", math.nan),
              "coherent_total": spec.coherent_total}
     for f, w in zip(spec.coherent_freqs, spec.coherent_weights):
@@ -316,61 +351,53 @@ def cmd_spectrum(args):
 def cmd_spectrum_map(args):
     _check_nonneg(args, ["rabi_s_ghz", "diffusion_mhz", "etalon_mhz"])
     emitter = _emitter(args)
-    values = _sweep_values(args)
-    if args.sweep == "rabi-l":
-        sweep = [_drive(args, rabi_l=v) for v in values]
-    else:
-        sweep = [_drive(args, delta=v) for v in values]
+    values, sweep, col = _drive_sweep(args)
     specs = spectrum_map(sweep, emitter, _instrument(args), _pipeline(args),
                          jobs=_jobs(args))
     rows = []
     for v, spec in zip(values, specs):
         rows.extend(_spectrum_rows(spec, prefix=(v,)))
-    col = "rabiL_GHz" if args.sweep == "rabi-l" else "delta_GHz"
     emit(rows, [col, "freq_offset_GHz", "intensity"], args.out, args.format,
          _metadata(args))
     return EXIT_OK
 
 
 def cmd_dressed_lines(args):
-    values = _sweep_values(args)
-    if args.sweep == "rabi-l":
-        sweep = [_drive(args, rabi_l=v) for v in values]
-    else:
-        sweep = [_drive(args, delta=v) for v in values]
+    values, sweep, col = _drive_sweep(args)
     rows = []
     for v, (_, lines) in zip(values, overlay_lines(sweep)):
         for line in lines:
             rows.append((v, line.group, line.branch, line.offset.ghz,
                          line.weight))
-    col = "rabiL_GHz" if args.sweep == "rabi-l" else "delta_GHz"
     emit(rows, [col, "group", "branch", "freq_offset_GHz", "weight"],
          args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
 def _grid(args):
+    """The map grid in GHz and as Frequency axes."""
     deltas = np.linspace(args.delta_start, args.delta_stop, args.delta_points)
     rabis = np.linspace(args.rabi_start, args.rabi_stop, args.rabi_points)
     if deltas.size < 1 or rabis.size < 1:
         raise ConfigError("grid must be nonempty")
-    return deltas, rabis
+    return deltas, rabis, ([Frequency.from_ghz(d) for d in deltas],
+                           [Frequency.from_ghz(r) for r in rabis])
+
+
+def _grid_rows(deltas, rabis, *fields):
+    """(delta, rabi_L, values...) rows of [i_delta, j_rabi] maps, Rabi-major."""
+    return [(d, r, *(f[i, j] for f in fields))
+            for j, r in enumerate(rabis) for i, d in enumerate(deltas)]
 
 
 def cmd_cooling_map(args):
-    emitter = _emitter(args)
-    deltas_ghz, rabis_ghz = _grid(args)
-    template = _drive(args)
-    cmap = cooling_map([Frequency.from_ghz(d) for d in deltas_ghz],
-                       [Frequency.from_ghz(r) for r in rabis_ghz],
-                       emitter, template,
+    deltas_ghz, rabis_ghz, axes = _grid(args)
+    cmap = cooling_map(*axes, _emitter(args), _drive(args),
                        diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
-                       n_nodes=args.nodes)
-    rows = []
-    for j, r in enumerate(rabis_ghz):
-        for i, d in enumerate(deltas_ghz):
-            rows.append((d, r, cmap.rate[i, j], cmap.rho_ee[i, j]))
-    emit(rows, ["delta_GHz", "rabiL_GHz", "rate_per_s", "rho_ee"],
+                       n_nodes=args.nodes, floquet_tol=args.tol,
+                       jobs=_jobs(args))
+    emit(_grid_rows(deltas_ghz, rabis_ghz, cmap.rate, cmap.rho_ee),
+         ["delta_GHz", "rabiL_GHz", "rate_per_s", "rho_ee"],
          args.out, args.format, _metadata(args))
     return EXIT_OK
 
@@ -379,21 +406,16 @@ def cmd_lindblad_map(args):
     if args.temp_k <= 0:
         raise ConfigError("--temp-k must be positive")
     emitter = _emitter(args)
-    deltas_ghz, rabis_ghz = _grid(args)
+    deltas_ghz, rabis_ghz, axes = _grid(args)
     cavity = AcousticCavity(Frequency.from_ghz(args.omega_s_ghz), args.q,
                             Frequency.from_ghz(args.g0_mhz / 1e3))
     cfg = LindbladConfig(emitter, _drive(args), cavity, args.temp_k,
                          m_max=args.m_max)
     lmap = cooling_performance_map(
-        [Frequency.from_ghz(d) for d in deltas_ghz],
-        [Frequency.from_ghz(r) for r in rabis_ghz], cfg,
-        diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
-        n_nodes=args.nodes, adaptive=args.adaptive)
-    rows = []
-    for j, r in enumerate(rabis_ghz):
-        for i, d in enumerate(deltas_ghz):
-            rows.append((d, r, lmap.m_ss[i, j], lmap.cooling_C[i, j]))
-    emit(rows, ["delta_GHz", "rabiL_GHz", "m_ss", "cooling_C"],
+        *axes, cfg, diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
+        n_nodes=args.nodes, adaptive=args.adaptive, jobs=_jobs(args))
+    emit(_grid_rows(deltas_ghz, rabis_ghz, lmap.m_ss, lmap.cooling_C),
+         ["delta_GHz", "rabiL_GHz", "m_ss", "cooling_C"],
          args.out, args.format,
          _metadata(args, {"m_th": cfg.m_th,
                           "worst_trace_error": lmap.worst_trace_error,
@@ -521,41 +543,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-ghz", type=float, default=12.0,
                    help="half-width of the frequency window")
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--nodes", type=int, default=21,
-                   help="Gauss-Hermite nodes for the diffusion average")
+    _add_map_flags(p, nodes=21, tol=1e-10)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("spectrum-map", help="spectra over a drive sweep")
     _add_common(p)
     _add_physics(p)
-    p.add_argument("--sweep", choices=("rabi-l", "delta"), default="rabi-l")
-    p.add_argument("--sweep-start", type=float, default=0.5)
-    p.add_argument("--sweep-stop", type=float, default=5.5)
-    p.add_argument("--sweep-points", type=int, default=11)
+    _add_drive_sweep(p, points=11)
     p.add_argument("--window-ghz", type=float, default=12.0)
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--nodes", type=int, default=21)
+    _add_map_flags(p, nodes=21, tol=1e-10)
     p.set_defaults(func=cmd_spectrum_map)
 
     p = sub.add_parser("dressed-lines", help="predicted line table")
     _add_common(p)
     _add_physics(p)
-    p.add_argument("--sweep", choices=("rabi-l", "delta"), default="rabi-l")
-    p.add_argument("--sweep-start", type=float, default=0.5)
-    p.add_argument("--sweep-stop", type=float, default=5.5)
-    p.add_argument("--sweep-points", type=int, default=21)
+    _add_drive_sweep(p, points=21)
     p.set_defaults(func=cmd_dressed_lines)
 
     p = sub.add_parser("cooling-map", help="closed-form phonon rate map")
     _add_common(p)
     _add_physics(p, diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
-    p.add_argument("--delta-start", type=float, default=-5.0)
-    p.add_argument("--delta-stop", type=float, default=5.0)
-    p.add_argument("--delta-points", type=int, default=41)
-    p.add_argument("--rabi-start", type=float, default=0.5)
-    p.add_argument("--rabi-stop", type=float, default=5.5)
-    p.add_argument("--rabi-points", type=int, default=41)
-    p.add_argument("--nodes", type=int, default=9)
+    _add_grid(p, rabi_start=0.5, points=41)
+    _add_map_flags(p, nodes=9, tol=1e-9)
     p.set_defaults(func=cmd_cooling_map)
 
     p = sub.add_parser("lindblad-map", help="quantized cooling performance map")
@@ -568,13 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Fock truncation; 0 derives it from the thermal tail")
     p.add_argument("--adaptive", action="store_true",
                    help="refine the truncation per point")
-    p.add_argument("--delta-start", type=float, default=-5.0)
-    p.add_argument("--delta-stop", type=float, default=5.0)
-    p.add_argument("--delta-points", type=int, default=21)
-    p.add_argument("--rabi-start", type=float, default=0.25)
-    p.add_argument("--rabi-stop", type=float, default=5.25)
-    p.add_argument("--rabi-points", type=int, default=21)
-    p.add_argument("--nodes", type=int, default=5)
+    _add_grid(p, rabi_start=0.25, points=21)
+    _add_map_flags(p, nodes=5)
     p.set_defaults(func=cmd_lindblad_map)
 
     p = sub.add_parser("fit-absorption", help="fit sideband absorption data")
@@ -659,6 +664,12 @@ def _apply_config_file(parser, argv):
                           f"{', '.join(sorted(unknown))}")
 
 
+def _report(kind: str, exc: BaseException) -> None:
+    """Print an error, then each note attached to it on its own line."""
+    print(f"{kind}: {exc}", *getattr(exc, "__notes__", ()), sep="\n",
+          file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -669,18 +680,14 @@ def main(argv=None) -> int:
         if needs_out and not args.out:
             raise ConfigError("--out is required for this command")
         return args.func(args)
-    except (ConvergenceError, IntegrationError, DegenerateSystemError,
-            RuntimeError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (ConvergenceError, IntegrationError, DegenerateSystemError) as exc:
+        _report("numerical error", exc)
         return EXIT_NUMERICS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, DomainError, ValueError) as exc:
+        _report("config error", exc)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _report("i/o error", exc)
         return EXIT_IO
 
 

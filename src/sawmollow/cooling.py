@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,7 @@ from .model import (
     thermal_occupation,
 )
 from .bloch import BlochGenerator, ConvergenceError, floquet_steady_state
-from .spectrum import _gauss_nodes
+from .spectrum import _diffusion_nodes, _sweep
 
 
 class ResolutionWarning(UserWarning):
@@ -155,52 +155,51 @@ class CoolingMap:
                             float(self.rho_ee[i, j]))
 
 
-def _floquet_rho_ee(config: DriveConfig, emitter: EmitterParams,
-                    tol: float = 1e-9) -> float:
-    gen = BlochGenerator(config, emitter)
-    return floquet_steady_state(gen, tol=tol).mean_rho_ee
+def _grid_sweep(kernel, deltas, rabi_Ls, jobs: int):
+    """Axes in rad/s and kernel((delta, rabi_L)) over the grid, one
+    [i_delta, j_rabi] array per returned field.  Points run Rabi-major, so
+    consecutive ones share rabi_L and the Liouvillian parts cached on it."""
+    deltas = np.array([_as_rad(d) for d in np.atleast_1d(deltas)], dtype=float)
+    rabi_Ls = np.array([_as_rad(r) for r in np.atleast_1d(rabi_Ls)], dtype=float)
+    if deltas.size == 0 or rabi_Ls.size == 0:
+        raise ValueError("grid must be nonempty")
+    results = _sweep(kernel, [(d, wl) for wl in rabi_Ls for d in deltas], jobs)
+    return deltas, rabi_Ls, np.transpose(
+        np.reshape(results, (rabi_Ls.size, deltas.size, -1)))
+
+
+def _rate_point(emitter: EmitterParams, template: DriveConfig, offsets,
+                weights, floquet_tol: float, point):
+    """Node-averaged closed-form rate and Floquet excited population at one
+    (delta, rabi_L) point."""
+    d, wl = point
+    r_acc = 0.0
+    p_acc = 0.0
+    for off, wt in zip(offsets, weights):
+        cfg = DriveConfig(Frequency(d + off), Frequency(wl),
+                          template.rabi_S, template.omega_S)
+        p = floquet_steady_state(BlochGenerator(cfg, emitter),
+                                 tol=floquet_tol).mean_rho_ee
+        r_acc += wt * cooling_rate_closed_form(cfg, emitter, p).rate
+        p_acc += wt * p
+    return r_acc, p_acc
 
 
 def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
                 template: DriveConfig, diffusion_fwhm=Frequency(0.0),
-                n_nodes: int = 9, floquet_tol: float = 1e-9) -> CoolingMap:
+                n_nodes: int = 9, floquet_tol: float = 1e-9,
+                jobs: int = 1) -> CoolingMap:
     """Closed-form rate over a detuning x Rabi-frequency grid.
 
     Per grid point: Floquet period-averaged excited population, closed-form
     rate, then Gaussian detuning average (diffusion_fwhm = 0 skips it).
+    jobs > 1 spreads the grid points over worker processes.
     """
-    deltas = np.atleast_1d(np.asarray([_as_rad(d) for d in np.atleast_1d(deltas)]))
-    rabi_Ls = np.atleast_1d(np.asarray([_as_rad(r) for r in np.atleast_1d(rabi_Ls)]))
-    if deltas.size == 0 or rabi_Ls.size == 0:
-        raise ValueError("grid must be nonempty")
     fwhm = _as_rad(diffusion_fwhm)
-    if fwhm > 0:
-        offsets, weights = _gauss_nodes(fwhm, n_nodes)
-    else:
-        offsets, weights = np.zeros(1), np.ones(1)
-
-    rate = np.empty((deltas.size, rabi_Ls.size))
-    rho = np.empty_like(rate)
-    failures = []
-    for j, wl in enumerate(rabi_Ls):
-        for i, d in enumerate(deltas):
-            try:
-                r_acc = 0.0
-                p_acc = 0.0
-                for off, wt in zip(offsets, weights):
-                    cfg = DriveConfig(Frequency(d + off), Frequency(wl),
-                                      template.rabi_S, template.omega_S)
-                    p = _floquet_rho_ee(cfg, emitter, floquet_tol)
-                    r_acc += wt * cooling_rate_closed_form(cfg, emitter, p).rate
-                    p_acc += wt * p
-                rate[i, j] = r_acc
-                rho[i, j] = p_acc
-            except Exception as exc:
-                failures.append(((i, j), exc))
-    if failures:
-        detail = "; ".join(f"{ij}: {exc}" for ij, exc in failures[:5])
-        raise RuntimeError(f"cooling_map failed at {len(failures)} "
-                           f"point(s): {detail}")
+    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
+    kernel = partial(_rate_point, emitter, template, offsets, weights,
+                     floquet_tol)
+    deltas, rabi_Ls, (rate, rho) = _grid_sweep(kernel, deltas, rabi_Ls, jobs)
     return CoolingMap(deltas, rabi_Ls, rate, rho,
                       meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
                             "rabi_S": template.rabi_S.rad,
@@ -390,63 +389,45 @@ class LindbladMap:
     meta: dict = field(default_factory=dict)
 
 
+def _performance_point(cfg: LindbladConfig, offsets, weights,
+                       adaptive: bool, point):
+    """Node-averaged C and m_ss at one (delta, rabi_L) point, with the worst
+    trace error and minimum eigenvalue of its solves."""
+    d, wl = point
+    c_acc = 0.0
+    m_acc = 0.0
+    worst_trace = 0.0
+    worst_eig = 0.0
+    for off, wt in zip(offsets, weights):
+        drive = DriveConfig(Frequency(d + off), Frequency(wl),
+                            cfg.drive.rabi_S, cfg.drive.omega_S)
+        res = lindblad_steady_state(replace(cfg, drive=drive),
+                                    adaptive=adaptive)
+        c_acc += wt * res.cooling_C
+        m_acc += wt * res.m_ss
+        worst_trace = max(worst_trace, res.trace_error)
+        worst_eig = min(worst_eig, res.min_eigenvalue)
+    return c_acc, m_acc, worst_trace, worst_eig
+
+
 def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
                             diffusion_fwhm=Frequency(0.0), n_nodes: int = 5,
                             adaptive: bool = False,
-                            average: str = "C") -> LindbladMap:
+                            jobs: int = 1) -> LindbladMap:
     """Quantized cooling performance over a (delta, rabi_L) grid.
 
-    The Gaussian detuning average is applied to C per grid point (set
-    average="m_ss" to average the phonon number instead and derive C from
-    it).  adaptive=False keeps the configured Fock truncation for every
-    point, which is what a fixed-size map wants.
+    The Gaussian detuning average is applied to C and m_ss per grid point.
+    adaptive=False keeps the configured Fock truncation for every point,
+    which is what a fixed-size map wants.  jobs > 1 spreads the grid points
+    over worker processes.
     """
-    deltas = np.atleast_1d(np.asarray([_as_rad(d) for d in np.atleast_1d(deltas)]))
-    rabi_Ls = np.atleast_1d(np.asarray([_as_rad(r) for r in np.atleast_1d(rabi_Ls)]))
-    if deltas.size == 0 or rabi_Ls.size == 0:
-        raise ValueError("grid must be nonempty")
-    if average not in ("C", "m_ss"):
-        raise ValueError('average must be "C" or "m_ss"')
     fwhm = _as_rad(diffusion_fwhm)
-    if fwhm > 0:
-        offsets, weights = _gauss_nodes(fwhm, n_nodes)
-    else:
-        offsets, weights = np.zeros(1), np.ones(1)
-
-    c_map = np.empty((deltas.size, rabi_Ls.size))
-    m_map = np.empty_like(c_map)
-    worst_trace = 0.0
-    worst_eig = 0.0
-    failures = []
-    for j, wl in enumerate(rabi_Ls):
-        for i, d in enumerate(deltas):
-            try:
-                c_acc = 0.0
-                m_acc = 0.0
-                for off, wt in zip(offsets, weights):
-                    drive = DriveConfig(Frequency(d + off), Frequency(wl),
-                                        cfg.drive.rabi_S, cfg.drive.omega_S)
-                    node_cfg = LindbladConfig(cfg.emitter, drive, cfg.cavity,
-                                              cfg.temperature, cfg.m_max,
-                                              cfg.tail_mass)
-                    res = lindblad_steady_state(node_cfg, adaptive=adaptive)
-                    c_acc += wt * res.cooling_C
-                    m_acc += wt * res.m_ss
-                    worst_trace = max(worst_trace, res.trace_error)
-                    worst_eig = min(worst_eig, res.min_eigenvalue)
-                if average == "C":
-                    c_map[i, j] = c_acc
-                    m_map[i, j] = m_acc
-                else:
-                    m_map[i, j] = m_acc
-                    c_map[i, j] = (m_acc - cfg.m_th) / cfg.m_th
-            except Exception as exc:
-                failures.append(((i, j), exc))
-    if failures:
-        detail = "; ".join(f"{ij}: {exc}" for ij, exc in failures[:5])
-        raise RuntimeError(f"cooling_performance_map failed at "
-                           f"{len(failures)} point(s): {detail}")
-    return LindbladMap(deltas, rabi_Ls, c_map, m_map, worst_trace, worst_eig,
+    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
+    kernel = partial(_performance_point, cfg, offsets, weights, adaptive)
+    deltas, rabi_Ls, (c_map, m_map, trace, eig) = _grid_sweep(
+        kernel, deltas, rabi_Ls, jobs)
+    return LindbladMap(deltas, rabi_Ls, c_map, m_map, float(trace.max()),
+                       float(eig.min()),
                        meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
                              "temperature": cfg.temperature,
-                             "m_th": cfg.m_th, "average": average})
+                             "m_th": cfg.m_th})

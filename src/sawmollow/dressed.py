@@ -92,12 +92,6 @@ class TransitionRecord:
     delta_n_phonon: float
     sideband: int
 
-    def frequency(self, omega_L: Frequency | None) -> Frequency | None:
-        """Absolute emission frequency when the laser frequency is known."""
-        if omega_L is None:
-            return None
-        return Frequency(omega_L.rad + self.offset.rad)
-
 
 def _dressing_cosines(config: DriveConfig):
     """(cos 2theta_L, cos 2theta_S, gap) from Cartesian ratios.

@@ -98,9 +98,6 @@ class FitReport:
     converged: bool
     message: str = ""
 
-    def param_names(self) -> list[str]:
-        return list(self.params)
-
 
 def _report_from_lsq(res, names, scales=None, extra=None,
                      message: str = "") -> FitReport:

@@ -60,10 +60,6 @@ class Frequency:
             _check_finite("frequency (Hz)", self.hz)
 
     @classmethod
-    def from_rad(cls, rad: float) -> "Frequency":
-        return cls(float(rad))
-
-    @classmethod
     def from_hz(cls, hz: float) -> "Frequency":
         hz = float(hz)
         return cls(TWO_PI * hz, hz)
@@ -97,26 +93,18 @@ def _as_rad(value) -> float:
 
 @dataclass(frozen=True)
 class EmitterParams:
-    """Two-level-system constants.
-
-    gamma      : spontaneous emission rate (must be > 0)
-    gamma_inh  : inhomogeneous FWHM from spectral diffusion (>= 0)
-    omega0     : optional bare transition frequency reference
-    """
+    """Two-level-system constants: the spontaneous emission rate gamma
+    (must be > 0)."""
 
     gamma: Frequency
-    gamma_inh: Frequency = Frequency(0.0)
-    omega0: Frequency | None = None
 
     def __post_init__(self):
         if self.gamma.rad <= 0:
             raise DomainError("gamma must be positive")
-        if self.gamma_inh.rad < 0:
-            raise DomainError("gamma_inh must be non-negative")
 
     @classmethod
-    def from_ghz(cls, gamma: float, gamma_inh: float = 0.0) -> "EmitterParams":
-        return cls(Frequency.from_ghz(gamma), Frequency.from_ghz(gamma_inh))
+    def from_ghz(cls, gamma: float) -> "EmitterParams":
+        return cls(Frequency.from_ghz(gamma))
 
 
 @dataclass(frozen=True)
@@ -124,15 +112,13 @@ class DriveConfig:
     """Drive condition: optical Rabi frequency, detuning, and acoustic drive.
 
     delta is signed, delta = omega_L - omega0 (laser above transition is
-    positive).  omega_L is an optional absolute reference; only detunings
-    enter the physics.
+    positive); only detunings enter the physics.
     """
 
     delta: Frequency
     rabi_L: Frequency
     rabi_S: Frequency
     omega_S: Frequency
-    omega_L: Frequency | None = None
 
     def __post_init__(self):
         if self.rabi_L.rad < 0:
@@ -155,7 +141,7 @@ class DriveConfig:
 
     def replace_delta(self, delta_rad: float) -> "DriveConfig":
         return DriveConfig(Frequency(float(delta_rad)), self.rabi_L,
-                           self.rabi_S, self.omega_S, self.omega_L)
+                           self.rabi_S, self.omega_S)
 
 
 @dataclass(frozen=True)
@@ -259,7 +245,3 @@ def thermal_occupation(omega_S, temperature: float) -> float:
     x = HBAR * w / (KB * temperature)
     return 1.0 / math.expm1(x)
 
-
-def generalized_rabi(config: DriveConfig) -> Frequency:
-    """Generalized Rabi frequency sqrt(rabi_L^2 + delta^2) of a drive."""
-    return config.rabi_R

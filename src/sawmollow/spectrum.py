@@ -35,7 +35,6 @@ propagation averaged over discrete phases) and its direct Fourier sum
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -379,13 +378,60 @@ def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
                     coherent_weights=coh_w[keep], meta=meta)
 
 
-def _gauss_nodes(fwhm_rad: float, n_nodes: int):
-    """Gauss-Hermite nodes/weights for averaging over a Gaussian of given FWHM."""
+def _diffusion_nodes(fwhm_rad: float, n_nodes: int):
+    """Detuning offsets and weights averaging over a Gaussian of given FWHM:
+    Gauss-Hermite with n_nodes (odd, >= 3, checked at any width) nodes, or
+    the single node (0, 1) when the width is zero."""
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd and >= 3")
+    if fwhm_rad < 0:
+        raise ValueError("diffusion width must be non-negative")
+    if fwhm_rad == 0.0:
+        return np.zeros(1), np.ones(1)
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     sigma = fwhm_rad / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     return math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
+
+
+def _outcomes(fn, items) -> list:
+    """(True, fn(item)) or (False, the exception it raised), per item."""
+    out = []
+    for item in items:
+        try:
+            out.append((True, fn(item)))
+        except Exception as exc:  # aggregate, do not stop the sweep
+            out.append((False, exc))
+    return out
+
+
+def _sweep(fn, items, jobs: int = 1) -> list:
+    """[fn(item) for item in items]; with jobs > 1, contiguous chunks run in
+    a process pool of at most len(items) workers.  Every item runs even when
+    some fail; the first failure is then re-raised with its own class and a
+    note that lists every failing index and message."""
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # A few contiguous chunks per worker balance the load and keep the
+        # per-item messaging cost out of the sweep.
+        size = -(-len(items) // (4 * workers))
+        chunks = [items[i:i + size] for i in range(0, len(items), size)]
+        # Spawn, not fork: forking a process that holds BLAS threads is unsafe.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            futures = [pool.submit(_outcomes, fn, c) for c in chunks]
+        outcomes = [o for future in futures for o in future.result()]
+    else:
+        outcomes = _outcomes(fn, items)
+    failures = [(i, exc) for i, (ok, exc) in enumerate(outcomes) if not ok]
+    if failures:
+        first = failures[0][1]
+        first.add_note(f"{len(failures)} of {len(items)} sweep point(s) failed: "
+                       + "; ".join(f"index {i}: {exc}" for i, exc in failures))
+        raise first
+    return [result for _, result in outcomes]
 
 
 def apply_spectral_diffusion(spectra_fn, delta0, model: InstrumentModel,
@@ -394,13 +440,12 @@ def apply_spectral_diffusion(spectra_fn, delta0, model: InstrumentModel,
 
     spectra_fn maps a detuning (rad/s) to a Spectrum on a fixed grid;
     delta0 is the nominal detuning.  Gauss-Hermite quadrature with n_nodes
-    (odd, >= 3) nodes; a zero diffusion width returns spectra_fn(delta0).
+    (odd, >= 3) nodes; a zero diffusion width evaluates spectra_fn(delta0)
+    alone.
     """
     delta0 = _as_rad(delta0)
     fwhm = model.diffusion_fwhm.rad
-    if fwhm == 0.0:
-        return spectra_fn(delta0)
-    offsets, weights = _gauss_nodes(fwhm, n_nodes)
+    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
 
     first = None
     intensity = None
@@ -422,7 +467,7 @@ def apply_spectral_diffusion(spectra_fn, delta0, model: InstrumentModel,
         rho_acc += wt * spec.meta.get("rho_ee_bar", math.nan)
 
     meta = dict(first.meta)
-    meta.update({"diffusion_fwhm": fwhm, "diffusion_nodes": n_nodes,
+    meta.update({"diffusion_fwhm": fwhm, "diffusion_nodes": offsets.size,
                  "rho_ee_bar": rho_acc, "delta0": delta0})
     peak = float(np.max(intensity))
     intensity = np.maximum(intensity, -1e-9 * peak)
@@ -524,37 +569,19 @@ def spectrum_map(sweep, emitter: EmitterParams,
                  jobs: int = 1) -> list[Spectrum]:
     """Full pipeline over a sweep of drive configs, order-preserving.
 
-    An invalid frequency grid raises ValueError, and a window wider than
-    the etalon's free spectral range :class:`AliasingError`, before any
-    spectrum is computed; per-config failures are aggregated and reported
-    with their indices.
+    An invalid frequency grid or diffusion node count raises ValueError,
+    and a window wider than the etalon's free spectral range
+    :class:`AliasingError`, before any spectrum is computed; per-config
+    failures are aggregated by :func:`_sweep`.
     """
     sweep = list(sweep)
     if not sweep:
         raise ValueError("sweep must be nonempty")
     pipeline = pipeline or SpectrumPipelineConfig()
     freqs = _uniform_grid(pipeline.window, pipeline.n_freq)
-    if instrument is not None and instrument.etalon_fwhm.rad > 0:
-        _check_etalon_window(float(freqs[-1] - freqs[0]), instrument)
-    tasks = [(cfg, emitter, instrument, pipeline) for cfg in sweep]
-    results = [None] * len(tasks)
-    failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_map_one, task) for task in tasks]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except Exception as exc:
-                    failures.append((i, exc))
-    else:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = _map_one(task)
-            except Exception as exc:  # aggregate, do not stop the sweep
-                failures.append((i, exc))
-    if failures:
-        detail = "; ".join(f"index {i}: {exc}" for i, exc in failures)
-        raise RuntimeError(f"spectrum_map failed for {len(failures)} "
-                           f"config(s): {detail}")
-    return results
+    model = instrument or InstrumentModel()
+    _diffusion_nodes(model.diffusion_fwhm.rad, pipeline.n_diffusion_nodes)
+    if model.etalon_fwhm.rad > 0:
+        _check_etalon_window(float(freqs[-1] - freqs[0]), model)
+    return _sweep(_map_one, [(cfg, emitter, instrument, pipeline)
+                             for cfg in sweep], jobs)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sawmollow.bloch import (
     BlochState,
     ConvergenceError,
     DegenerateSystemError,
+    IntegrationError,
     default_harmonics,
     eval_fundamental,
     floquet_steady_state,
@@ -303,3 +305,16 @@ class TestFundamentalSolution:
         phi_ref, p_ref = eval_fundamental(sol, np.array([t]))
         assert np.max(np.abs(phi_chain - phi_ref[0])) < 1e-9
         assert np.max(np.abs(p_chain - p_ref[0])) < 1e-9
+
+
+class TestErrors:
+    @pytest.mark.parametrize("cls, field", [(ConvergenceError, "residual"),
+                                            (IntegrationError, "t_last")])
+    def test_pickle_round_trip_keeps_message_and_field(self, cls, field):
+        exc = cls("solver failed", 1.25e-3)
+        exc.add_note("index 3: solver failed")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is cls
+        assert str(copy) == str(exc)
+        assert getattr(copy, field) == 1.25e-3
+        assert copy.__notes__ == ["index 3: solver failed"]

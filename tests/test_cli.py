@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sawmollow.cli import main
+from sawmollow.cli import _json_dump, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
 from sawmollow.model import Frequency, TWO_PI
 
@@ -87,6 +91,56 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--points", 1,
                     "--out", tmp_path / "x.csv"]) == 2
         assert "n_freq" in capsys.readouterr().err
+
+    def test_even_node_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--diffusion-mhz", 678, "--nodes", 4,
+                    "--window-ghz", 5, "--out", out]) == 2
+        assert "n_nodes must be odd" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreachable_tolerance_exits_3_with_every_failure(self, tmp_path,
+                                                              capsys):
+        """--tol reaches the cooling map's Floquet solves; the error names
+        the first failure and a note lists them all."""
+        assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
+                    "--diffusion-mhz", 0, "--tol", 1e-20,
+                    "--out", tmp_path / "x.csv"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("numerical error: harmonic balance")
+        assert err[1].startswith("2 of 2 sweep point(s) failed: index 0:")
+
+    @pytest.mark.parametrize("command", [
+        ["dressed-lines"], ["fit-absorption", "--data", "d.txt"],
+        ["fit-lorentzian", "--data", "d.txt"], ["fit-linear", "--data", "d.txt"],
+        ["background", "--data", "d.txt", "--target", 0.5], ["selftest"],
+        ["lindblad-map"]])
+    def test_flags_a_command_does_not_use_are_rejected(self, command,
+                                                       tmp_path):
+        flags = [["--tol", 1e-9]]
+        if command[0] != "lindblad-map":
+            flags.append(["--jobs", 2])
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                run(command + flag + ["--out", tmp_path / "x.csv"])
+            assert exc.value.code == 2
+
+    @given(command=st.sampled_from(["spectrum", "cooling-map"]),
+           nodes=st.integers(-1, 8),
+           diffusion=st.floats(0.0, 1000.0, allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_node_and_width_inputs_succeed_or_exit_2(
+            self, tmp_path_factory, command, nodes, diffusion):
+        grid = {"spectrum": ["--window-ghz", 5, "--points", 11],
+                "cooling-map": ["--delta-points", 2, "--rabi-points", 1]}
+        out = tmp_path_factory.mktemp("prop") / "x.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, *grid[command], "--nodes", nodes,
+                        "--diffusion-mhz", repr(diffusion), "--out", out])
+        assert code in (0, 2)
+        assert (code == 2) == bool(err.getvalue().strip())
+        assert (code == 0) == out.exists()
 
     def test_removed_n_phase_flag_rejected(self, tmp_path):
         for command in ("spectrum", "spectrum-map"):
@@ -248,12 +302,27 @@ class TestJobsEnvironment:
         assert run(args + ["--jobs", 2, "--out", parallel]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["cooling-map", "--delta-points", 3, "--rabi-points", 2, "--nodes", 3],
+        ["lindblad-map", "--temp-k", 0.1, "--m-max", 10, "--delta-points", 2,
+         "--rabi-points", 2, "--nodes", 3]])
+    def test_jobs_do_not_change_cooling_map_bytes(self, tmp_path, args):
+        serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
+        assert run(args + ["--jobs", 1, "--out", serial]) == 0
+        assert run(args + ["--jobs", 2, "--out", parallel]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_env_fallback_parsed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MOLLOW_JOBS", "2")
         out = tmp_path / "m.csv"
         assert run(["spectrum-map", "--sweep", "delta", "--sweep-start", 0,
                     "--sweep-stop", 1, "--sweep-points", 2, "--rabi-l-ghz", 2,
                     "--window-ghz", 3, "--points", 31, "--out", out]) == 0
+
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
+        assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
+                    "--jobs", 0, "--out", tmp_path / "x.csv"]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_invalid_env_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOLLOW_JOBS", "many")
@@ -262,3 +331,28 @@ class TestJobsEnvironment:
                     "--window-ghz", 3, "--points", 31,
                     "--out", tmp_path / "m.csv"])
         assert code == 2
+
+
+class TestOutputEscaping:
+    def test_json_strings_with_control_characters_round_trip(self):
+        obj = {"data": "a\tb\nc", 'k"\x01\\': "\x7f end"}
+        out = io.StringIO()
+        _json_dump(obj, out)
+        assert json.loads(out.getvalue()) == obj
+
+    def test_header_value_with_newline_stays_one_line(self, tmp_path):
+        data = tmp_path / "cal\nx.txt"
+        data.write_text("\n".join(f"{v} {2.0 * v}" for v in (0.1, 0.2, 0.3)))
+        out = tmp_path / "fit.csv"
+        assert run(["fit-linear", "--data", data, "--out", out]) == 0
+        lines = out.read_text().split("\n")
+        header = lines[:lines.index("key,value")]
+        assert all(line.startswith("# ") for line in header)
+        assert f"# data = {tmp_path}/cal\\nx.txt" in header
+
+    def test_plain_header_unchanged(self, tmp_path):
+        data = tmp_path / "cal.txt"
+        data.write_text("\n".join(f"{v} {2.0 * v}" for v in (0.1, 0.2, 0.3)))
+        out = tmp_path / "fit.csv"
+        assert run(["fit-linear", "--data", data, "--out", out]) == 0
+        assert f"# data = {data}\n" in out.read_text()

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sawmollow.bloch import BlochGenerator, floquet_steady_state
+from sawmollow.bloch import (
+    BlochGenerator,
+    ConvergenceError,
+    floquet_steady_state,
+)
 from sawmollow.cooling import (
     AcousticCavity,
     CoolingPoint,
@@ -211,6 +215,26 @@ class TestCoolingMap:
         assert abs(averaged.rate[0, 0] - raw.rate[0, 0]) < \
             0.5 * abs(raw.rate[0, 0]) + 1e-3 * emitter.gamma.rad
 
+    def test_parallel_jobs_match_serial(self, emitter):
+        template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
+        deltas = [Frequency.from_ghz(d) for d in (-3.0, -1.0, 2.0)]
+        rabis = [Frequency.from_ghz(r) for r in (1.5, 2.5)]
+        maps = [cooling_map(deltas, rabis, emitter, template,
+                            diffusion_fwhm=Frequency.from_ghz(0.678),
+                            n_nodes=3, jobs=jobs) for jobs in (1, 2)]
+        assert np.array_equal(maps[0].rate, maps[1].rate)
+        assert np.array_equal(maps[0].rho_ee, maps[1].rho_ee)
+
+    def test_failures_raise_their_own_class_with_indices(self, emitter):
+        template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
+        with pytest.raises(ConvergenceError) as err:
+            cooling_map([Frequency.from_ghz(-2.0), Frequency.from_ghz(2.0)],
+                        [Frequency.from_ghz(2.0)], emitter, template,
+                        floquet_tol=1e-20)
+        (note,) = err.value.__notes__
+        assert note.startswith("2 of 2 sweep point(s) failed")
+        assert "index 0" in note and "index 1" in note
+
     def test_point_accessor(self, emitter):
         template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
         cmap = cooling_map([Frequency.from_ghz(-2.0)], [Frequency.from_ghz(2.0)],
@@ -311,24 +335,15 @@ class TestPerformanceMap:
             assert math.copysign(1.0, lmap.cooling_C[i, 0]) == \
                 math.copysign(1.0, semi)
 
-    def test_average_modes(self, emitter, cavity):
-        deltas = [Frequency.from_ghz(-3.0)]
-        rabis = [Frequency.from_ghz(1.8)]
-        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(0, 1.8, 0, 3.5299),
-                             cavity, temperature=0.1, m_max=15)
-        by_c = cooling_performance_map(deltas, rabis, cfg,
-                                       Frequency.from_ghz(0.678), 5,
-                                       average="C")
-        by_m = cooling_performance_map(deltas, rabis, cfg,
-                                       Frequency.from_ghz(0.678), 5,
-                                       average="m_ss")
-        assert by_c.cooling_C[0, 0] == pytest.approx(by_m.cooling_C[0, 0],
-                                                     rel=1e-9)
-
-    def test_rejects_bad_average_mode(self, emitter, cavity):
-        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(0, 1.8, 0, 3.5299),
-                             cavity, temperature=0.1)
-        with pytest.raises(ValueError):
-            cooling_performance_map([Frequency.from_ghz(0)],
-                                    [Frequency.from_ghz(1)], cfg,
-                                    average="median")
+    def test_parallel_jobs_match_serial(self, emitter, cavity):
+        deltas = [Frequency.from_ghz(d) for d in (-3.0, 2.0)]
+        rabis = [Frequency.from_ghz(r) for r in (1.5, 2.5)]
+        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(0, 2.0, 0, 3.5299),
+                             cavity, temperature=0.1, m_max=10)
+        maps = [cooling_performance_map(deltas, rabis, cfg,
+                                        Frequency.from_ghz(0.678), 3,
+                                        jobs=jobs) for jobs in (1, 2)]
+        assert np.array_equal(maps[0].cooling_C, maps[1].cooling_C)
+        assert np.array_equal(maps[0].m_ss, maps[1].m_ss)
+        assert maps[0].worst_trace_error == maps[1].worst_trace_error
+        assert maps[0].worst_min_eigenvalue == maps[1].worst_min_eigenvalue

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sawmollow.bloch import BlochGenerator, floquet_steady_state
+from sawmollow.bloch import (
+    BlochGenerator,
+    ConvergenceError,
+    floquet_steady_state,
+)
 from sawmollow.model import DriveConfig, Frequency, Spectrum, TWO_PI
 from sawmollow.spectrum import (
     AliasingError,
@@ -13,7 +17,9 @@ from sawmollow.spectrum import (
     SpectrumPipelineConfig,
     UndecayedCorrelatorError,
     _central_resolvent,
+    _diffusion_nodes,
     _regression_source,
+    _sweep,
     apply_etalon,
     apply_spectral_diffusion,
     emission_spectrum,
@@ -443,6 +449,33 @@ class TestSpectrumMap:
             spectrum_map([good], emitter, None, pipe)
         assert "harmonic balance not converged" in str(err.value)
 
+    def test_parallel_failure_keeps_class_and_message(self, emitter):
+        good = DriveConfig.from_ghz(0.0, 2.0, 0.0, 3.5299)
+        pipe = SpectrumPipelineConfig(n_freq=101, floquet_tol=1e-20)
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(ConvergenceError) as err:
+                spectrum_map([good, good], emitter, None, pipe, jobs=jobs)
+            raised.append((str(err.value), err.value.residual,
+                           err.value.__notes__))
+        assert raised[0] == raised[1]
+        assert "harmonic balance not converged" in raised[0][0]
+        assert "index 0" in raised[0][2][0] and "index 1" in raised[0][2][0]
+
+    def test_even_node_count_rejected_before_compute(self, emitter,
+                                                     monkeypatch):
+        import sawmollow.spectrum as spectrum
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("spectrum computed before the node check")
+
+        monkeypatch.setattr(spectrum, "floquet_steady_state", no_compute)
+        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
+        drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
+        pipe = SpectrumPipelineConfig(n_freq=101, n_diffusion_nodes=4)
+        with pytest.raises(ValueError, match="n_nodes"):
+            spectrum_map([drive], emitter, model, pipe)
+
     def test_etalon_window_beyond_fsr_rejected_before_compute(
             self, emitter, monkeypatch):
         import sawmollow.spectrum as spectrum
@@ -469,3 +502,39 @@ class TestSpectrumMap:
         parallel = spectrum_map(sweep, emitter, None, pipe, jobs=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.intensity, b.intensity)
+
+
+class TestSweepDriver:
+    def test_results_in_item_order(self):
+        items = [4.0, 9.0, 16.0, 25.0]
+        assert _sweep(math.sqrt, items) == [2.0, 3.0, 4.0, 5.0]
+        assert _sweep(math.sqrt, items, jobs=2) == [2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_raised_with_note_listing_all(self, jobs):
+        with pytest.raises(ValueError, match="math domain error") as err:
+            _sweep(math.sqrt, [4.0, -1.0, 9.0, "x"], jobs=jobs)
+        (note,) = err.value.__notes__
+        assert note.startswith("2 of 4 sweep point(s) failed")
+        assert "index 1: math domain error" in note
+        assert "index 3:" in note and "index 0" not in note
+
+    def test_zero_width_is_one_node(self):
+        offsets, weights = _diffusion_nodes(0.0, 21)
+        assert offsets.tolist() == [0.0] and weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n_nodes", [3, 5, 9, 21])
+    def test_weights_sum_to_one(self, n_nodes):
+        offsets, weights = _diffusion_nodes(0.678 * GHZ, n_nodes)
+        assert offsets.size == n_nodes
+        assert abs(weights.sum() - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("fwhm", [0.0, 0.678 * GHZ])
+    @pytest.mark.parametrize("n_nodes", [-1, 0, 1, 2, 4])
+    def test_bad_node_count_rejected_at_any_width(self, fwhm, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes"):
+            _diffusion_nodes(fwhm, n_nodes)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _diffusion_nodes(-1.0, 5)
