@@ -10,14 +10,15 @@ D - 2*rabi_S*cos(omega_S t), the equations of motion are
            [  0                iD(t) - g/2    i rabi_L/2 ]
            [ -i rabi_L         i rabi_L      -g          ]
 
-with D(t) = delta - 2*rabi_S*cos(omega_S t + phase) and g = gamma.  M is
+with D(t) = delta - 2*rabi_S*cos(omega_S t) and g = gamma.  M is
 periodic with the acoustic period, so the driven steady state is a limit
 cycle.  Three routes into it live here:
 
 * :func:`propagate` -- adaptive direct integration (transients, oracles);
 * :func:`floquet_steady_state` -- harmonic balance: insert
   x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
-  and solve the resulting block-tridiagonal linear system;
+  and solve for the harmonics by a matrix continued fraction
+  (:func:`_sambe_solve`, shared with the spectrum module's resolvent);
 * :func:`monodromy` -- fundamental matrix over one period (stability, and
   the backbone of the time-domain correlator that the spectrum module
   keeps as an oracle).
@@ -97,15 +98,13 @@ class BlochGenerator:
     """Evaluator of M(t) and the constant inhomogeneous term.
 
     The time dependence enters only through t mod period, so
-    M(t) == M(t + 2*pi/omega_S) by construction.  `phase` offsets the
-    acoustic cosine; t = 0 sits at the cosine maximum for phase = 0.
+    M(t) == M(t + 2*pi/omega_S) by construction; t = 0 sits at the maximum
+    of the acoustic cosine.
     """
 
-    def __init__(self, drive: DriveConfig, emitter: EmitterParams,
-                 phase: float = 0.0):
+    def __init__(self, drive: DriveConfig, emitter: EmitterParams):
         self.drive = drive
         self.emitter = emitter
-        self.phase = float(phase)
         g = emitter.gamma.rad
         d = drive.delta.rad
         wl = drive.rabi_L.rad
@@ -124,7 +123,7 @@ class BlochGenerator:
         self.rate_scale = max(g, wl, self._two_rabi_s, abs(d), self._omega_s)
 
     def matrix(self, t: float) -> np.ndarray:
-        c = math.cos(self._omega_s * math.fmod(t, self.period) + self.phase)
+        c = math.cos(self._omega_s * math.fmod(t, self.period))
         return self.static_part + c * self.modulation_part
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -221,25 +220,75 @@ class FloquetSolution:
         return self.harmonics[:, i]
 
 
-def _block_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
-                             upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a block-tridiagonal system by block Thomas elimination.
+def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
+    """Central block of (s - L)^-1 D by a matrix continued fraction.
 
-    lower[j] couples block j to j-1 (lower[0] unused), diag[j] is the j-th
-    diagonal block, upper[j] couples block j to j+1 (upper[-1] unused).
+    L is the harmonic-balance (Sambe-space) operator of the Bloch equations:
+    diagonal blocks A - i k w, neighbours B/2.  d holds D at orders -n..n,
+    shape (2n + 1, 3).  Block k of s - L is G_k = s + i k w - A, coupled to
+    k +- 1 by H = -B/2 = diag(h, -h, 0), h = -i rabi_S.  Since H has no s_z
+    entry, the s_z row of every block is removed in closed form (Schur
+    complement on z = G_k[2, 2]), leaving 2x2 blocks K_k and right-hand
+    sides r_k.  They are written for p = s+ + s- and m = s+ - s-, where s_z
+    couples to m alone: the drive term rabi_L^2 / z, which dwarfs the other
+    entries when gamma << rabi_L, then sits on one diagonal entry and never
+    cancels against itself.  In that basis H acts as P = [[0, h], [h, 0]].
+    Eliminating each tail from its outermost order toward k = 0 replaces
+    K_k by K_k - P K_{k+-1}^-1 P and r_k by r_k - P q_{k+-1}, with
+    q = K^-1 r (Risken, The Fokker-Planck Equation, ch. 9).
+
+    s is a scalar, evaluated with Python complex arithmetic, or an array,
+    over which every step is vectorized.  Returns (y0, upper, lower): the
+    components (s+, s-, s_z) of the central block, and for the +k and -k
+    tails the factors (K^-1 entries, q, 1/z) of orders 1..n, from which
+    (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
+    s_z = (d_z - i rabi_L m) / z give every other block.
     """
-    n = diag.shape[0]
-    d = diag.copy()
-    r = rhs.copy()
-    for j in range(1, n):
-        factor = np.linalg.solve(d[j - 1].T, lower[j].T).T
-        d[j] = d[j] - factor @ upper[j - 1]
-        r[j] = r[j] - factor @ r[j - 1]
-    x = np.empty_like(r)
-    x[n - 1] = np.linalg.solve(d[n - 1], r[n - 1])
-    for j in range(n - 2, -1, -1):
-        x[j] = np.linalg.solve(d[j], r[j] - upper[j] @ x[j + 1])
-    return x
+    n = (len(d) - 1) // 2
+    g = gen.emitter.gamma.rad
+    i_delta = 1j * gen.drive.delta.rad
+    wl = gen.drive.rabi_L.rad
+    w = gen.drive.omega_S.rad
+    h = -1j * gen.drive.rabi_S.rad
+    rs2 = gen.drive.rabi_S.rad ** 2
+    wl2 = wl * wl
+    rows = d.tolist()
+
+    def reduce(k, sig, pq):
+        """K^-1, q and 1/z of order k, given the tail's P K^-1 P and P q."""
+        d0, d1, d2 = rows[n + k]
+        inv_z = 1.0 / (s + (1j * k * w + g))
+        sigma = s + (1j * k * w + 0.5 * g)
+        k00 = sigma - sig[0]
+        k01 = i_delta - sig[1]
+        k10 = i_delta - sig[2]
+        k11 = sigma + wl2 * inv_z - sig[3]
+        r0 = (d0 + d1) - pq[0]
+        r1 = (d0 - d1) - (1j * wl * d2) * inv_z - pq[1]
+        inv_det = 1.0 / (k00 * k11 - k01 * k10)
+        inv = (k11 * inv_det, -k01 * inv_det, -k10 * inv_det, k00 * inv_det)
+        q = (inv[0] * r0 + inv[1] * r1, inv[2] * r0 + inv[3] * r1)
+        return inv, q, inv_z
+
+    def tail(sign):
+        """Factors of orders sign * (1..n), and P K^-1 P, P q seen by k = 0."""
+        sig, pq = (0.0, 0.0, 0.0, 0.0), (0.0, 0.0)
+        factors = []
+        for k in range(n, 0, -1):
+            inv, q, inv_z = reduce(sign * k, sig, pq)
+            factors.append((inv, q, inv_z))
+            # P M P = h^2 [[M11, M10], [M01, M00]], h^2 = -rabi_S^2.
+            sig = (-rs2 * inv[3], -rs2 * inv[2], -rs2 * inv[1], -rs2 * inv[0])
+            pq = (h * q[1], h * q[0])
+        factors.reverse()
+        return factors, sig, pq
+
+    upper, sig_u, pq_u = tail(1)
+    lower, sig_l, pq_l = tail(-1)
+    _, (p0, m0), inv_z = reduce(0, [a + b for a, b in zip(sig_u, sig_l)],
+                                [a + b for a, b in zip(pq_u, pq_l)])
+    y_z = (rows[n][2] - 1j * wl * m0) * inv_z
+    return (0.5 * (p0 + m0), 0.5 * (p0 - m0), y_z), upper, lower
 
 
 def default_harmonics(drive: DriveConfig) -> int:
@@ -256,11 +305,14 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     Inserting x(t) = sum_k x_k e^{ik w t} into the equations couples
     neighboring harmonics through the cosine modulation:
 
-        (A - i k w I) x_k + (B/2) x_{k-1} + (B/2) x_{k+1} = -b delta_k0.
+        (A - i k w I) x_k + (B/2) x_{k-1} + (B/2) x_{k+1} = -b delta_k0,
 
-    The block-tridiagonal system is solved directly; the residual of the
-    reconstructed cycle is evaluated on n_check points per period, and the
-    truncation is doubled automatically until it drops below tol.
+    that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
+    Its continued fraction gives x_0, and back-substitution outward gives
+    x_{+-1}, x_{+-2}, ...  The residual of the reconstructed cycle is
+    evaluated on n_check points per period, and the truncation, starting at
+    min(n_harmonics, max_harmonics), is doubled until the residual drops
+    below tol; past max_harmonics it raises :class:`ConvergenceError`.
     """
     if gen.emitter.gamma.rad <= 0:
         raise DegenerateSystemError(
@@ -270,38 +322,34 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     if n_harmonics < 1:
         raise ValueError("n_harmonics must be >= 1")
 
-    w = gen.drive.omega_S.rad
-    a_mat = gen.static_part
-    half_b_plus = 0.5 * gen.modulation_part * np.exp(1j * gen.phase)
-    half_b_minus = 0.5 * gen.modulation_part * np.exp(-1j * gen.phase)
-
-    n = n_harmonics
-    last_residual = math.inf
+    h = -1j * gen.drive.rabi_S.rad
+    wl = gen.drive.rabi_L.rad
+    n = min(n_harmonics, max_harmonics)
     while True:
-        size = 2 * n + 1
-        orders = np.arange(-n, n + 1)
-        diag = np.broadcast_to(a_mat, (size, 3, 3)).copy()
-        diag -= (1j * w * orders)[:, None, None] * np.eye(3)
-        # x_k picks up e^{-i phase} B/2 from x_{k-1} and e^{+i phase} B/2
-        # from x_{k+1} (coefficient matching of cos(w t + phase) e^{ikwt}).
-        lower = np.broadcast_to(half_b_minus, (size, 3, 3)).copy()
-        upper = np.broadcast_to(half_b_plus, (size, 3, 3)).copy()
-        rhs = np.zeros((size, 3), dtype=complex)
-        rhs[n] = -gen.inhomogeneous
-        try:
-            x = _block_tridiagonal_solve(lower, diag, upper, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSystemError(
-                f"singular harmonic-balance system: {exc}") from exc
+        d = np.zeros((2 * n + 1, 3), dtype=complex)
+        d[n] = gen.inhomogeneous
+        y0, upper, lower = _sambe_solve(gen, d, 0.0)
+        tails = []
+        for factors in (upper, lower):
+            p, m = y0[0] + y0[1], y0[0] - y0[1]
+            tail = []
+            for (i00, i01, i10, i11), (q_p, q_m), inv_z in factors:
+                hm, hp = h * m, h * p
+                p = q_p - (i00 * hm + i01 * hp)
+                m = q_m - (i10 * hm + i11 * hp)
+                # d_z vanishes off k = 0.
+                tail.append((0.5 * (p + m), 0.5 * (p - m),
+                             -1j * wl * m * inv_z))
+            tails.append(tail)
+        x = np.array(tails[1][::-1] + [y0] + tails[0], dtype=complex)
         sol = FloquetSolution(gen.drive, gen.emitter, n, x, math.nan)
         residual = _floquet_residual(gen, sol, n_check)
         if residual <= tol:
             return FloquetSolution(gen.drive, gen.emitter, n, x, residual)
-        last_residual = residual
         if 2 * n > max_harmonics:
             raise ConvergenceError(
                 f"harmonic balance not converged at n_harmonics = {n}",
-                residual=last_residual)
+                residual=residual)
         n *= 2
 
 
@@ -314,7 +362,7 @@ def _floquet_residual(gen: BlochGenerator, sol: FloquetSolution,
     phases = np.exp(1j * np.multiply.outer(ts, orders * w))
     x_t = phases @ sol.harmonics
     dx_t = phases @ ((1j * orders * w)[:, None] * sol.harmonics)
-    cosines = np.cos(w * ts + gen.phase)
+    cosines = np.cos(w * ts)
     m_x = x_t @ gen.static_part.T + cosines[:, None] * (x_t @ gen.modulation_part.T)
     res = dx_t - m_x - gen.inhomogeneous
     scale = gen.rate_scale * max(1.0, float(np.max(np.abs(x_t))))
@@ -331,32 +379,6 @@ def _augmented_rhs(gen: BlochGenerator):
         return out.reshape(-1)
 
     return rhs
-
-
-def fundamental_solution(gen: BlochGenerator, t_end: float, tol: float = 1e-10,
-                         t0: float = 0.0):
-    """Fundamental matrix Phi(t) and particular solution p(t) on [t0, t_end].
-
-    Integrates the 3x3 homogeneous system from the identity together with
-    the zero-initial-condition particular solution of the inhomogeneous
-    term, as one 12-component system.  Returns the solve_ivp dense-output
-    object; evaluate with :func:`eval_fundamental`.
-    """
-    y0 = np.zeros(12, dtype=complex)
-    y0[[0, 5, 10]] = 1.0  # identity columns of the 3x4 layout
-    sol = solve_ivp(_augmented_rhs(gen), (t0, t_end), y0, method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"fundamental-matrix integration failed: "
-                               f"{sol.message}",
-                               t_last=float(sol.t[-1]) if sol.t.size else t0)
-    return sol
-
-
-def eval_fundamental(sol, times: np.ndarray):
-    """Evaluate (Phi, p) of :func:`fundamental_solution` at sample times."""
-    y = sol.sol(times).T.reshape(-1, 3, 4)
-    return y[:, :, :3], y[:, :, 3]
 
 
 def periodic_fundamental(gen: BlochGenerator, n_samples: int,

@@ -233,6 +233,9 @@ class LindbladConfig:
             raise DomainError("temperature must be positive")
         if self.m_max < 0:
             raise DomainError("m_max must be >= 0")
+        # A temperature whose occupation underflows raises DomainError here,
+        # before any solve, instead of at every point of a map.
+        thermal_occupation(self.cavity.omega_S, self.temperature)
 
     @property
     def m_th(self) -> float:

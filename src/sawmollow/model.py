@@ -243,5 +243,9 @@ def thermal_occupation(omega_S, temperature: float) -> float:
     if not temperature > 0:
         raise DomainError("temperature must be positive")
     x = HBAR * w / (KB * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        raise DomainError("temperature too low: thermal occupation "
+                          "underflows") from None
 

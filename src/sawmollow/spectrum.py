@@ -19,10 +19,9 @@ incoherent spectrum is therefore exactly
     S(nu) = (1/pi) Re [((-i nu - L)^-1 D)_0]_1,
 
 with D the harmonics of d (Sambe, PRA 7, 2203 (1973)).
-:func:`resolvent_spectrum` solves only the central block, eliminating the
-block-tridiagonal system from both ends toward k = 0 -- a matrix continued
-fraction (Risken, The Fokker-Planck Equation, ch. 9) -- on any frequency
-grid at once.
+:func:`resolvent_spectrum` solves only the central block with the matrix
+continued fraction that also gives the limit cycle,
+:func:`sawmollow.bloch._sambe_solve`, vectorized over any frequency grid.
 
 The plateau's harmonics become delta lines at multiples of the acoustic
 frequency, recorded as discrete coherent weights on the Spectrum.
@@ -41,6 +40,7 @@ import numpy as np
 
 from .bloch import (
     BlochGenerator,
+    _sambe_solve,
     floquet_steady_state,
     periodic_fundamental,
 )
@@ -290,60 +290,6 @@ def _regression_source(fs) -> np.ndarray:
     return d
 
 
-def _central_resolvent(gen: BlochGenerator, d: np.ndarray,
-                       freqs: np.ndarray) -> np.ndarray:
-    """s- component of ((-i nu - L)^-1 D)_0 at every nu in freqs.
-
-    Block k of (-i nu - L) is G_k = s + i k w - A with s = -i nu, coupled
-    to k +- 1 by H = -B/2 = diag(h, -h, 0), h = -i rabi_S.  Eliminating the
-    tail beyond k leaves G_k - Sigma_{k+1} with the self-energy
-    Sigma = H W^-1 H; since H has no s_z entry, only the s+/s- block of
-    W^-1 is needed, and the s_z row of each block is removed in closed form
-    (Schur complement on z = G_k[2, 2]).  Orders k and -k are eliminated
-    together on a leading axis of length 2.
-    """
-    n = (d.shape[0] - 1) // 2
-    g = gen.emitter.gamma.rad
-    delta = gen.drive.delta.rad
-    wl = gen.drive.rabi_L.rad
-    rs2 = gen.drive.rabi_S.rad ** 2
-    h = -1j * gen.drive.rabi_S.rad
-    w = gen.drive.omega_S.rad
-    s = -1j * freqs
-    half_wl2 = 0.5 * wl * wl
-    e = 0.5j * wl               # G_k[0, 2] = -G_k[1, 2]
-
-    def reduce(k_w, dk, sig, hq):
-        """Schur-reduced 2x2 block K and right-hand side at k_w = k w."""
-        inv_z = 1.0 / (s + (1j * k_w + g))
-        c = half_wl2 * inv_z
-        ez = (e * dk[2]) * inv_z
-        k00 = s + (1j * (k_w + delta) + 0.5 * g) + c - sig[0]
-        k11 = s + (1j * (k_w - delta) + 0.5 * g) + c - sig[3]
-        k01 = -c - sig[1]
-        k10 = -c - sig[2]
-        r0 = dk[0] - hq[0] - ez
-        r1 = dk[1] - hq[1] + ez
-        return k00, k01, k10, k11, r0, r1
-
-    sig = np.zeros((4, 2, 1), dtype=complex)   # Sigma_00, _01, _10, _11
-    hq = np.zeros((2, 2, 1), dtype=complex)    # first two entries of H q
-    pm = np.array([[1.0], [-1.0]])
-    for k in range(n, 0, -1):
-        dk = d[[n + k, n - k]].T[:, :, None]   # (3, 2, 1): orders k and -k
-        k00, k01, k10, k11, r0, r1 = reduce(pm * (k * w), dk, sig, hq)
-        inv_det = 1.0 / (k00 * k11 - k01 * k10)
-        # q = K^-1 r; Sigma = H K^-1 H with H_00 H_00 = H_11 H_11 = -rabi_S^2
-        # and H_00 H_11 = rabi_S^2.
-        hq = np.stack([h * (k11 * r0 - k01 * r1), -h * (k00 * r1 - k10 * r0)])
-        hq *= inv_det
-        sig = np.stack([k11, k01, k10, k00])
-        sig *= -rs2 * inv_det
-    k00, k01, k10, k11, r0, r1 = reduce(
-        0.0, d[n], sig.sum(axis=1), hq.sum(axis=1))
-    return (k00 * r1 - k10 * r0) / (k00 * k11 - k01 * k10)
-
-
 def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
                        floquet_tol: float = 1e-10) -> Spectrum:
     """Pre-instrument spectrum of one drive on a frequency grid.
@@ -360,8 +306,8 @@ def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
         raise ValueError("freqs must be a strictly increasing 1-d grid")
     gen = BlochGenerator(config, emitter)
     fs = floquet_steady_state(gen, tol=floquet_tol)
-    intensity = _central_resolvent(gen, _regression_source(fs), freqs).real
-    intensity /= math.pi
+    y0, _, _ = _sambe_solve(gen, _regression_source(fs), -1j * freqs)
+    intensity = y0[1].real / math.pi
 
     peak = float(np.max(intensity))
     trough = float(np.min(intensity))

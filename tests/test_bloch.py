@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from sawmollow import bloch
 from sawmollow.bloch import (
     BlochGenerator,
     BlochState,
@@ -11,9 +12,7 @@ from sawmollow.bloch import (
     DegenerateSystemError,
     IntegrationError,
     default_harmonics,
-    eval_fundamental,
     floquet_steady_state,
-    fundamental_solution,
     monodromy,
     periodic_fundamental,
     propagate,
@@ -25,6 +24,24 @@ from sawmollow.model import DriveConfig, EmitterParams, Frequency
 def closed_form_rho_ee(delta, rabi, gamma):
     """Excited population of the unmodulated driven two-level system."""
     return (rabi ** 2 / 4.0) / (delta ** 2 + rabi ** 2 / 2.0 + gamma ** 2 / 4.0)
+
+
+def dense_harmonic_balance(gen, n):
+    """Harmonics x_{-n..n} from one dense solve of the harmonic-balance
+    system (A - i k w) x_k + (B/2)(x_{k-1} + x_{k+1}) = -b delta_k0."""
+    w = gen.drive.omega_S.rad
+    size = 2 * n + 1
+    op = np.zeros((size, 3, size, 3), dtype=complex)
+    for j in range(size):
+        op[j, :, j] = gen.static_part - 1j * (j - n) * w * np.eye(3)
+        if j > 0:
+            op[j, :, j - 1] = 0.5 * gen.modulation_part
+        if j < size - 1:
+            op[j, :, j + 1] = 0.5 * gen.modulation_part
+    rhs = np.zeros((size, 3), dtype=complex)
+    rhs[n] = -gen.inhomogeneous
+    x = np.linalg.solve(op.reshape(3 * size, 3 * size), rhs.reshape(-1))
+    return x.reshape(size, 3)
 
 
 class TestGenerator:
@@ -205,6 +222,23 @@ class TestFloquet:
             floquet_steady_state(gen, n_harmonics=1, tol=1e-10, max_harmonics=2)
         assert err.value.residual > 0
 
+    def test_no_solve_above_the_cap(self, emitter, monkeypatch):
+        """A starting order past max_harmonics is clamped to it: one solve
+        at the cap, then ConvergenceError."""
+        cfg = DriveConfig.from_ghz(0.0, 2.0, 1500.0, 3.5299)
+        assert default_harmonics(cfg) > 768
+        orders = []
+        solve = bloch._sambe_solve
+
+        def recording(gen, d, s):
+            orders.append((len(d) - 1) // 2)
+            return solve(gen, d, s)
+
+        monkeypatch.setattr(bloch, "_sambe_solve", recording)
+        with pytest.raises(ConvergenceError):
+            floquet_steady_state(BlochGenerator(cfg, emitter))
+        assert orders == [768]
+
     def test_gamma_zero_rejected(self, drive_resonant):
         # EmitterParams forbids gamma = 0, so bypass the constructor to
         # exercise the solver's degenerate-system guard directly.
@@ -218,6 +252,42 @@ class TestFloquet:
         weak = DriveConfig.from_ghz(0.0, 1.0, 0.2, 3.5299)
         strong = DriveConfig.from_ghz(0.0, 6.0, 3.0, 3.5299)
         assert default_harmonics(strong) > default_harmonics(weak)
+
+
+# Edge cases of the dense check: (delta, rabi_L, rabi_S, omega_S) in GHz and
+# the truncation order (None: default_harmonics).
+DENSE_CASES = {
+    "undriven": ((0.0, 0.0, 1.75, 3.5299), None),
+    "unmodulated": ((0.0, 3.5299, 0.0, 3.5299), None),
+    "far_red": ((-5.0, 3.5299, 1.75, 3.5299), None),
+    "far_blue": ((5.0, 3.5299, 1.75, 3.5299), None),
+    "one_harmonic": ((0.0, 3.5299, 1.75, 3.5299), 1),
+}
+
+
+class TestHarmonicBalanceOracle:
+    """floquet_steady_state against one dense solve at the same truncation."""
+
+    @staticmethod
+    def check(emitter, cfg, n):
+        gen = BlochGenerator(cfg, emitter)
+        sol = floquet_steady_state(gen, n_harmonics=n, tol=math.inf)
+        assert sol.n_harmonics == n
+        ref = dense_harmonic_balance(gen, n)
+        dev = np.max(np.abs(sol.harmonics - ref))
+        assert dev <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(DENSE_CASES))
+    def test_edge_cases(self, emitter, name):
+        drive, n = DENSE_CASES[name]
+        cfg = DriveConfig.from_ghz(*drive)
+        self.check(emitter, cfg, n or default_harmonics(cfg))
+
+    def test_seeded_random_drives(self, emitter, rng):
+        for _ in range(40):
+            cfg = DriveConfig.from_ghz(rng.uniform(-5, 5), rng.uniform(0, 8),
+                                       rng.uniform(0, 3), rng.uniform(1.5, 6))
+            self.check(emitter, cfg, default_harmonics(cfg))
 
 
 class TestMonodromy:
@@ -251,15 +321,13 @@ class TestMonodromy:
 
 class TestFundamentalSolution:
     def test_affine_decomposition_reproduces_propagation(self, emitter,
-                                                         drive_resonant, rng):
+                                                         drive_resonant):
         """x(t) = Phi(t) x0 + p(t) for arbitrary x0: linearity of the flow."""
         gen = BlochGenerator(drive_resonant, emitter)
-        t_end = 7.3 * gen.period
-        sol = fundamental_solution(gen, t_end, tol=1e-12)
-        ts = np.linspace(0.0, t_end, 9)
-        phi, part = eval_fundamental(sol, ts)
+        phi, part = periodic_fundamental(gen, 8, tol=1e-12)
+        ts = np.linspace(0.0, gen.period, 9)
         x0 = np.array([0.1 + 0.2j, 0.1 - 0.2j, -0.4], dtype=complex)
-        traj = propagate(gen, BlochState.from_vector(x0), 0.0, t_end,
+        traj = propagate(gen, BlochState.from_vector(x0), 0.0, gen.period,
                          tol=1e-12, t_eval=ts)
         recon = np.einsum("tij,j->ti", phi, x0) + part
         assert np.max(np.abs(recon - traj.values)) < 1e-8
@@ -268,10 +336,8 @@ class TestFundamentalSolution:
                                                                 drive_resonant):
         """Scaling the constant term scales the zero-start response linearly."""
         gen = BlochGenerator(drive_resonant, emitter)
-        t_end = 3.0 * gen.period
-        sol = fundamental_solution(gen, t_end, tol=1e-12)
-        ts = np.linspace(0.0, t_end, 7)
-        phi, part = eval_fundamental(sol, ts)
+        _, part = periodic_fundamental(gen, 6, tol=1e-12)
+        ts = np.linspace(0.0, gen.period, 7)
         from scipy.integrate import solve_ivp
 
         scale = 2.5 - 0.5j
@@ -279,14 +345,15 @@ class TestFundamentalSolution:
         def rhs(t, y):
             return gen.matrix(t) @ y + scale * gen.inhomogeneous
 
-        direct = solve_ivp(rhs, (0.0, t_end), np.zeros(3, complex),
+        direct = solve_ivp(rhs, (0.0, gen.period), np.zeros(3, complex),
                            method="DOP853", rtol=1e-12, atol=1e-14, t_eval=ts)
         assert np.max(np.abs(scale * part - direct.y.T)) < 1e-8
 
     def test_periodic_samples_chain_to_long_horizon(self, emitter,
                                                     drive_resonant):
-        """Monodromy chaining reproduces the directly integrated fundamental
-        solution several periods out."""
+        """Monodromy chaining reproduces the directly propagated flow several
+        periods out: p(t) is the flow from 0, Phi(t) e_i the flow from e_i
+        minus p(t)."""
         gen = BlochGenerator(drive_resonant, emitter)
         n_per = 32
         phi_s, p_s = periodic_fundamental(gen, n_per, tol=1e-12)
@@ -301,10 +368,15 @@ class TestFundamentalSolution:
             + np.linalg.matrix_power(mono, k - 4) @ p_t
             + p_t) + p_s[m]
         t = (k + m / n_per) * gen.period
-        sol = fundamental_solution(gen, t, tol=1e-13)
-        phi_ref, p_ref = eval_fundamental(sol, np.array([t]))
-        assert np.max(np.abs(phi_chain - phi_ref[0])) < 1e-9
-        assert np.max(np.abs(p_chain - p_ref[0])) < 1e-9
+
+        def flow(x0):
+            return propagate(gen, BlochState.from_vector(x0), 0.0, t,
+                             tol=1e-12, t_eval=[t]).values[-1]
+
+        p_ref = flow(np.zeros(3))
+        phi_ref = np.column_stack([flow(e) - p_ref for e in np.eye(3)])
+        assert np.max(np.abs(phi_chain - phi_ref)) < 1e-9
+        assert np.max(np.abs(p_chain - p_ref)) < 1e-9
 
 
 class TestErrors:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,17 @@ GHZ = TWO_PI * 1e9
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_succeeds_or_exits_2(args, out):
+    """The run exits 0 and writes out, or exits 2 with a message and
+    writes nothing."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([*args, "--out", out])
+    assert code in (0, 2)
+    assert (code == 2) == bool(err.getvalue().strip())
+    assert (code == 0) == out.exists()
 
 
 class TestSelftest:
@@ -133,14 +146,29 @@ class TestSpectrumCommand:
             self, tmp_path_factory, command, nodes, diffusion):
         grid = {"spectrum": ["--window-ghz", 5, "--points", 11],
                 "cooling-map": ["--delta-points", 2, "--rabi-points", 1]}
-        out = tmp_path_factory.mktemp("prop") / "x.csv"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run([command, *grid[command], "--nodes", nodes,
-                        "--diffusion-mhz", repr(diffusion), "--out", out])
-        assert code in (0, 2)
-        assert (code == 2) == bool(err.getvalue().strip())
-        assert (code == 0) == out.exists()
+        assert_succeeds_or_exits_2(
+            [command, *grid[command], "--nodes", nodes,
+             "--diffusion-mhz", repr(diffusion)],
+            tmp_path_factory.mktemp("prop") / "x.csv")
+
+    @given(temp=st.floats(math.log(1e-6), math.log(0.2)).map(math.exp),
+           m_max=st.integers(-1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_temperature_and_truncation_inputs_succeed_or_exit_2(
+            self, tmp_path_factory, temp, m_max):
+        assert_succeeds_or_exits_2(
+            ["lindblad-map", "--delta-points", 1, "--rabi-points", 1,
+             "--diffusion-mhz", 0, "--temp-k", repr(temp), "--m-max", m_max],
+            tmp_path_factory.mktemp("prop") / "x.csv")
+
+    def test_truncation_past_the_cap_exits_3_quickly(self, tmp_path, capsys):
+        """A modulation index of 5.7e5 asks for more harmonics than the
+        cap; the solve stops at the cap instead of assembling them all."""
+        start = time.perf_counter()
+        assert run(["spectrum", "--rabi-s-ghz", 1e6,
+                    "--out", tmp_path / "x.csv"]) == 3
+        assert time.perf_counter() - start < 30.0
+        assert "not converged at n_harmonics = 768" in capsys.readouterr().err
 
     def test_removed_n_phase_flag_rejected(self, tmp_path):
         for command in ("spectrum", "spectrum-map"):

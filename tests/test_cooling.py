@@ -318,6 +318,8 @@ class TestLindbladSteadyState:
             LindbladConfig(emitter, drive, cavity, temperature=0.0)
         with pytest.raises(DomainError):
             LindbladConfig(emitter, drive, cavity, temperature=1.0, m_max=-1)
+        with pytest.raises(DomainError, match="temperature too low"):
+            LindbladConfig(emitter, drive, cavity, temperature=1e-5)
 
 
 class TestPerformanceMap:

@@ -68,6 +68,9 @@ class TestThermalOccupation:
             thermal_occupation(Frequency.from_ghz(3.5299), -1.0)
         with pytest.raises(DomainError):
             thermal_occupation(Frequency(0.0), 1.0)
+        # hbar omega / kB T = 1.7e4 overflows exp().
+        with pytest.raises(DomainError, match="temperature too low"):
+            thermal_occupation(Frequency.from_ghz(3.5299), 1e-5)
 
     @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
     @settings(max_examples=150, deadline=None)
