@@ -34,6 +34,8 @@ from scipy.integrate import solve_ivp
 
 from .model import DriveConfig, EmitterParams, TWO_PI
 
+_N_CHECK = 64   # points per period at which a Floquet residual is evaluated
+
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the last good time.  Like
@@ -298,8 +300,8 @@ def default_harmonics(drive: DriveConfig) -> int:
 
 
 def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
-                         tol: float = 1e-10, max_harmonics: int = 768,
-                         n_check: int = 64) -> FloquetSolution:
+                         tol: float = 1e-10,
+                         max_harmonics: int = 768) -> FloquetSolution:
     """Limit cycle of the modulated Bloch equations by harmonic balance.
 
     Inserting x(t) = sum_k x_k e^{ik w t} into the equations couples
@@ -310,7 +312,7 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
     Its continued fraction gives x_0, and back-substitution outward gives
     x_{+-1}, x_{+-2}, ...  The residual of the reconstructed cycle is
-    evaluated on n_check points per period, and the truncation, starting at
+    evaluated on _N_CHECK points per period, and the truncation, starting at
     min(n_harmonics, max_harmonics), is doubled until the residual drops
     below tol; past max_harmonics it raises :class:`ConvergenceError`.
     """
@@ -343,7 +345,7 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
             tails.append(tail)
         x = np.array(tails[1][::-1] + [y0] + tails[0], dtype=complex)
         sol = FloquetSolution(gen.drive, gen.emitter, n, x, math.nan)
-        residual = _floquet_residual(gen, sol, n_check)
+        residual = _floquet_residual(gen, sol)
         if residual <= tol:
             return FloquetSolution(gen.drive, gen.emitter, n, x, residual)
         if 2 * n > max_harmonics:
@@ -353,11 +355,10 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         n *= 2
 
 
-def _floquet_residual(gen: BlochGenerator, sol: FloquetSolution,
-                      n_check: int) -> float:
+def _floquet_residual(gen: BlochGenerator, sol: FloquetSolution) -> float:
     """Normalized max-norm residual of dx/dt = M x + b on a period grid."""
     w = gen.drive.omega_S.rad
-    ts = np.linspace(0.0, gen.period, n_check, endpoint=False)
+    ts = np.linspace(0.0, gen.period, _N_CHECK, endpoint=False)
     orders = sol.orders
     phases = np.exp(1j * np.multiply.outer(ts, orders * w))
     x_t = phases @ sol.harmonics

@@ -15,6 +15,7 @@ constants, and solver tolerances in its header.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -157,26 +158,34 @@ def _metadata(args, extra=None) -> dict:
     return meta
 
 
-def emit(rows, columns, path, fmt, meta):
-    """Write records as CSV (metadata in '#' header lines) or JSON."""
+@contextlib.contextmanager
+def _output(path, fmt, meta):
+    """path opened for writing, headed by '# key = value' metadata in CSV."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "csv":
                 for key, v in sorted(meta.items()):
                     v = v if isinstance(v, str) else _fmt(v)
                     fh.write(f"# {key} = {v}".translate(_ESCAPES) + "\n")
-                fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-            else:
-                payload = {"meta": meta,
-                           "columns": list(columns),
-                           "rows": [[(None if (isinstance(v, float) and math.isnan(v)) else v)
-                                     for v in row] for row in rows]}
-                _json_dump(payload, fh)
-                fh.write("\n")
+            yield fh
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def emit(rows, columns, path, fmt, meta):
+    """Write records as CSV (metadata in '#' header lines) or JSON."""
+    with _output(path, fmt, meta) as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            payload = {"meta": meta,
+                       "columns": list(columns),
+                       "rows": [[(None if (isinstance(v, float) and math.isnan(v)) else v)
+                                 for v in row] for row in rows]}
+            _json_dump(payload, fh)
+            fh.write("\n")
 
 
 def _emit_report(report: FitReport | dict, path, fmt, meta):
@@ -193,27 +202,22 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
     else:
         payload = dict(report)
     payload["meta"] = meta
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt == "csv":
-                for key, v in sorted(meta.items()):
-                    fh.write(f"# {key} = {v}".translate(_ESCAPES) + "\n")
-                fh.write("key,value\n")
-                flat = dict(payload)
-                flat.pop("meta")
-                for group in ("params", "stderr"):
-                    if group in flat:
-                        for k, v in sorted(flat.pop(group).items()):
-                            fh.write(f"{group}.{k},{_fmt(v)}\n")
-                flat.pop("covariance", None)
-                for k, v in sorted(flat.items()):
-                    v = v.translate(_ESCAPES) if isinstance(v, str) else _fmt(v)
-                    fh.write(f"{k},{v}\n")
-            else:
-                _json_dump(payload, fh)
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with _output(path, fmt, meta) as fh:
+        if fmt == "csv":
+            fh.write("key,value\n")
+            flat = dict(payload)
+            flat.pop("meta")
+            for group in ("params", "stderr"):
+                if group in flat:
+                    for k, v in sorted(flat.pop(group).items()):
+                        fh.write(f"{group}.{k},{_fmt(v)}\n")
+            flat.pop("covariance", None)
+            for k, v in sorted(flat.items()):
+                v = v.translate(_ESCAPES) if isinstance(v, str) else _fmt(v)
+                fh.write(f"{k},{v}\n")
+        else:
+            _json_dump(payload, fh)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

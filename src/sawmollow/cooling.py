@@ -40,7 +40,12 @@ from .model import (
     thermal_occupation,
 )
 from .bloch import BlochGenerator, ConvergenceError, floquet_steady_state
-from .spectrum import _diffusion_nodes, _sweep
+from .spectrum import _diffusion_nodes, _node_sum, _node_sweep
+
+
+_TAIL_MASS = 1e-8   # thermal occupation beyond the initial Fock truncation
+_REL_TOL = 1e-4     # adaptive Fock growth stops when m_ss moves less than this
+_MAX_ROUNDS = 12    # adaptive Fock growth gives up after this many solves
 
 
 class ResolutionWarning(UserWarning):
@@ -155,34 +160,28 @@ class CoolingMap:
                             float(self.rho_ee[i, j]))
 
 
-def _grid_sweep(kernel, deltas, rabi_Ls, jobs: int):
-    """Axes in rad/s and kernel((delta, rabi_L)) over the grid, one
-    [i_delta, j_rabi] array per returned field.  Points run Rabi-major, so
-    consecutive ones share rabi_L and the Liouvillian parts cached on it."""
+def _grid_sweep(kernel, deltas, rabi_Ls, template: DriveConfig, offsets,
+                jobs: int):
+    """Axes in rad/s and kernel(drive) at every diffusion node of every
+    (delta, rabi_L) drive built on template, one [node, i_delta, j_rabi]
+    array per returned field.  Drives run Rabi-major, so consecutive solves
+    share rabi_L and the Liouvillian parts cached on it."""
     deltas = np.array([_as_rad(d) for d in np.atleast_1d(deltas)], dtype=float)
     rabi_Ls = np.array([_as_rad(r) for r in np.atleast_1d(rabi_Ls)], dtype=float)
     if deltas.size == 0 or rabi_Ls.size == 0:
         raise ValueError("grid must be nonempty")
-    results = _sweep(kernel, [(d, wl) for wl in rabi_Ls for d in deltas], jobs)
+    drives = [DriveConfig(Frequency(d), Frequency(wl), template.rabi_S,
+                          template.omega_S) for wl in rabi_Ls for d in deltas]
+    results = _node_sweep(kernel, drives, offsets, jobs)
     return deltas, rabi_Ls, np.transpose(
-        np.reshape(results, (rabi_Ls.size, deltas.size, -1)))
+        np.reshape(results, (rabi_Ls.size, deltas.size, len(offsets), -1)))
 
 
-def _rate_point(emitter: EmitterParams, template: DriveConfig, offsets,
-                weights, floquet_tol: float, point):
-    """Node-averaged closed-form rate and Floquet excited population at one
-    (delta, rabi_L) point."""
-    d, wl = point
-    r_acc = 0.0
-    p_acc = 0.0
-    for off, wt in zip(offsets, weights):
-        cfg = DriveConfig(Frequency(d + off), Frequency(wl),
-                          template.rabi_S, template.omega_S)
-        p = floquet_steady_state(BlochGenerator(cfg, emitter),
-                                 tol=floquet_tol).mean_rho_ee
-        r_acc += wt * cooling_rate_closed_form(cfg, emitter, p).rate
-        p_acc += wt * p
-    return r_acc, p_acc
+def _rate_point(emitter: EmitterParams, floquet_tol: float, cfg: DriveConfig):
+    """Closed-form rate and Floquet excited population of one drive."""
+    p = floquet_steady_state(BlochGenerator(cfg, emitter),
+                             tol=floquet_tol).mean_rho_ee
+    return cooling_rate_closed_form(cfg, emitter, p).rate, p
 
 
 def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
@@ -191,16 +190,18 @@ def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
                 jobs: int = 1) -> CoolingMap:
     """Closed-form rate over a detuning x Rabi-frequency grid.
 
-    Per grid point: Floquet period-averaged excited population, closed-form
-    rate, then Gaussian detuning average (diffusion_fwhm = 0 skips it).
-    jobs > 1 spreads the grid points over worker processes.
+    Per grid point: Floquet period-averaged excited population and
+    closed-form rate at each Gaussian detuning node, then their weighted
+    average (diffusion_fwhm = 0 is one node of weight 1).  jobs > 1 spreads
+    the solves over worker processes.
     """
     fwhm = _as_rad(diffusion_fwhm)
     offsets, weights = _diffusion_nodes(fwhm, n_nodes)
-    kernel = partial(_rate_point, emitter, template, offsets, weights,
-                     floquet_tol)
-    deltas, rabi_Ls, (rate, rho) = _grid_sweep(kernel, deltas, rabi_Ls, jobs)
-    return CoolingMap(deltas, rabi_Ls, rate, rho,
+    kernel = partial(_rate_point, emitter, floquet_tol)
+    deltas, rabi_Ls, (rate, rho) = _grid_sweep(kernel, deltas, rabi_Ls,
+                                               template, offsets, jobs)
+    return CoolingMap(deltas, rabi_Ls, _node_sum(weights, rate),
+                      _node_sum(weights, rho),
                       meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
                             "rabi_S": template.rabi_S.rad,
                             "omega_S": template.omega_S.rad,
@@ -218,7 +219,7 @@ class LindbladConfig:
     The acoustic drive is absent here: the laser alone cools or heats the
     thermal phonon mode through the sigma_z coupling.  m_max is the Fock
     truncation; it is auto-raised until the thermal tail beyond it is
-    below tail_mass, then adaptively refined.
+    below _TAIL_MASS, then adaptively refined.
     """
 
     emitter: EmitterParams
@@ -226,7 +227,6 @@ class LindbladConfig:
     cavity: AcousticCavity
     temperature: float
     m_max: int = 0          # 0: derive from the thermal tail bound
-    tail_mass: float = 1e-8
 
     def __post_init__(self):
         if not self.temperature > 0:
@@ -244,7 +244,7 @@ class LindbladConfig:
     def initial_m_max(self) -> int:
         m_th = self.m_th
         ratio = m_th / (m_th + 1.0)
-        tail = max(1, math.ceil(math.log(self.tail_mass) / math.log(ratio)))
+        tail = max(1, math.ceil(math.log(_TAIL_MASS) / math.log(ratio)))
         return max(self.m_max, tail, 1)
 
 
@@ -342,20 +342,20 @@ def _solve_steady(l_total: sp.csr_matrix, n_fock: int):
     return rho, residual
 
 
-def lindblad_steady_state(cfg: LindbladConfig, adaptive: bool = True,
-                          rel_tol: float = 1e-4,
-                          max_rounds: int = 12) -> SteadyStateResult:
+def lindblad_steady_state(cfg: LindbladConfig,
+                          adaptive: bool = True) -> SteadyStateResult:
     """Steady state of the quantized emitter-phonon master equation.
 
     Builds the Liouvillian on the 2*(m_max+1)-dimensional Hilbert space and
     solves the null-space problem directly with a unit-trace constraint.
     With adaptive=True the Fock truncation grows by 25% until the steady
-    phonon number changes by less than rel_tol.
+    phonon number changes by less than _REL_TOL, for at most _MAX_ROUNDS
+    solves.
     """
     m_th = cfg.m_th
     m = cfg.initial_m_max()
     previous = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         n_fock = m + 1
         l_fixed, l_delta = _liouvillian_parts(cfg, n_fock)
         l_total = (l_fixed + cfg.drive.delta.rad * l_delta).tocsr()
@@ -364,18 +364,15 @@ def lindblad_steady_state(cfg: LindbladConfig, adaptive: bool = True,
         trace_error = abs(float(np.trace(rho).real) - 1.0)
         diag = np.real(np.diag(rho))
         m_ss = float(np.sum(np.tile(np.arange(n_fock), 2) * diag))
-        if not adaptive:
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
-            return SteadyStateResult(m_ss, (m_ss - m_th) / m_th, trace_error,
-                                     min_eig, residual, m, m_th)
-        if previous is not None and abs(m_ss - previous) <= rel_tol * abs(m_ss):
+        if not adaptive or (previous is not None
+                            and abs(m_ss - previous) <= _REL_TOL * abs(m_ss)):
             min_eig = float(np.linalg.eigvalsh(rho)[0])
             return SteadyStateResult(m_ss, (m_ss - m_th) / m_th, trace_error,
                                      min_eig, residual, m, m_th)
         previous = m_ss
         m = math.ceil(1.25 * m)
     raise ConvergenceError(
-        f"Fock truncation did not converge below {rel_tol:g} "
+        f"Fock truncation did not converge below {_REL_TOL:g} "
         f"(last m_ss = {previous:.6g})", residual=float("nan"))
 
 
@@ -392,25 +389,10 @@ class LindbladMap:
     meta: dict = field(default_factory=dict)
 
 
-def _performance_point(cfg: LindbladConfig, offsets, weights,
-                       adaptive: bool, point):
-    """Node-averaged C and m_ss at one (delta, rabi_L) point, with the worst
-    trace error and minimum eigenvalue of its solves."""
-    d, wl = point
-    c_acc = 0.0
-    m_acc = 0.0
-    worst_trace = 0.0
-    worst_eig = 0.0
-    for off, wt in zip(offsets, weights):
-        drive = DriveConfig(Frequency(d + off), Frequency(wl),
-                            cfg.drive.rabi_S, cfg.drive.omega_S)
-        res = lindblad_steady_state(replace(cfg, drive=drive),
-                                    adaptive=adaptive)
-        c_acc += wt * res.cooling_C
-        m_acc += wt * res.m_ss
-        worst_trace = max(worst_trace, res.trace_error)
-        worst_eig = min(worst_eig, res.min_eigenvalue)
-    return c_acc, m_acc, worst_trace, worst_eig
+def _performance_point(cfg: LindbladConfig, adaptive: bool, drive: DriveConfig):
+    """C, m_ss, trace error and minimum eigenvalue of cfg at one drive."""
+    res = lindblad_steady_state(replace(cfg, drive=drive), adaptive=adaptive)
+    return res.cooling_C, res.m_ss, res.trace_error, res.min_eigenvalue
 
 
 def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
@@ -421,16 +403,18 @@ def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
 
     The Gaussian detuning average is applied to C and m_ss per grid point.
     adaptive=False keeps the configured Fock truncation for every point,
-    which is what a fixed-size map wants.  jobs > 1 spreads the grid points
-    over worker processes.
+    which is what a fixed-size map wants.  jobs > 1 spreads the solves over
+    worker processes.
     """
     fwhm = _as_rad(diffusion_fwhm)
     offsets, weights = _diffusion_nodes(fwhm, n_nodes)
-    kernel = partial(_performance_point, cfg, offsets, weights, adaptive)
+    kernel = partial(_performance_point, cfg, adaptive)
     deltas, rabi_Ls, (c_map, m_map, trace, eig) = _grid_sweep(
-        kernel, deltas, rabi_Ls, jobs)
-    return LindbladMap(deltas, rabi_Ls, c_map, m_map, float(trace.max()),
-                       float(eig.min()),
+        kernel, deltas, rabi_Ls, cfg.drive, offsets, jobs)
+    # A map whose solves are all positive reports a minimum eigenvalue of 0.
+    return LindbladMap(deltas, rabi_Ls, _node_sum(weights, c_map),
+                       _node_sum(weights, m_map), float(trace.max()),
+                       min(0.0, float(eig.min())),
                        meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
                              "temperature": cfg.temperature,
                              "m_th": cfg.m_th})

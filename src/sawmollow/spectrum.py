@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -350,11 +351,11 @@ def _outcomes(fn, items) -> list:
     return out
 
 
-def _sweep(fn, items, jobs: int = 1) -> list:
+def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
     """[fn(item) for item in items]; with jobs > 1, contiguous chunks run in
     a process pool of at most len(items) workers.  Every item runs even when
     some fail; the first failure is then re-raised with its own class and a
-    note that lists every failing index and message."""
+    note that lists where(i) and the message of every failing item i."""
     items = list(items)
     workers = min(jobs, len(items))
     if workers > 1:
@@ -375,52 +376,66 @@ def _sweep(fn, items, jobs: int = 1) -> list:
     if failures:
         first = failures[0][1]
         first.add_note(f"{len(failures)} of {len(items)} sweep point(s) failed: "
-                       + "; ".join(f"index {i}: {exc}" for i, exc in failures))
+                       + "; ".join(f"{where(i)}: {exc}" for i, exc in failures))
         raise first
     return [result for _, result in outcomes]
 
 
-def apply_spectral_diffusion(spectra_fn, delta0, model: InstrumentModel,
-                             n_nodes: int = 21) -> Spectrum:
-    """Average spectra over a Gaussian distribution of the laser detuning.
+def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
+    """kernel(drive) at every drive shifted to every detuning offset of
+    :func:`_diffusion_nodes`, as one flat :func:`_sweep` over drives x
+    nodes; returns each drive's node results in node order.  A failure's
+    note names the drive's index and the node."""
+    n = len(offsets)
+    shifted = [drive.replace_delta(drive.delta.rad + off)
+               for drive in drives for off in offsets]
+    results = _sweep(kernel, shifted, jobs,
+                     where=lambda i: f"index {i // n}, node {i % n}")
+    return [results[i:i + n] for i in range(0, len(results), n)]
 
-    spectra_fn maps a detuning (rad/s) to a Spectrum on a fixed grid;
-    delta0 is the nominal detuning.  Gauss-Hermite quadrature with n_nodes
-    (odd, >= 3) nodes; a zero diffusion width evaluates spectra_fn(delta0)
-    alone.
+
+def _node_sum(weights, values):
+    """Quadrature sum of weights[k] * values[k], added one node at a time
+    from 0.0; a dot product or a compensated sum would round differently."""
+    acc = 0.0
+    for wt, value in zip(weights, values):
+        acc = acc + wt * value
+    return acc
+
+
+def apply_spectral_diffusion(specs, weights, drive: DriveConfig) -> Spectrum:
+    """Average node spectra over a Gaussian distribution of the laser detuning.
+
+    specs are the spectra of drive shifted to the detuning nodes of
+    :func:`_diffusion_nodes`, on one laser-relative grid, and weights their
+    quadrature weights; one node of weight 1 keeps its intensity.  Coherent
+    lines merge by position and rho_ee_bar is averaged; the Floquet
+    residual, truncation order and pre-clip minimum report the worst node.
+    The result carries the nominal drive.
     """
-    delta0 = _as_rad(delta0)
-    fwhm = model.diffusion_fwhm.rad
-    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
-
-    first = None
-    intensity = None
+    first = specs[0]
+    if any(not np.array_equal(spec.freqs, first.freqs) for spec in specs):
+        raise GridMismatchError("node spectra live on different grids")
+    intensity = _node_sum(weights, [spec.intensity for spec in specs])
     coherent: dict[float, float] = {}
-    rho_acc = 0.0
-    for off, wt in zip(offsets, weights):
-        spec = spectra_fn(delta0 + off)
-        if first is None:
-            first = spec
-            intensity = wt * spec.intensity
-        else:
-            if not np.array_equal(spec.freqs, first.freqs):
-                raise GridMismatchError("spectra_fn returned a different grid")
-            intensity = intensity + wt * spec.intensity
+    for spec, wt in zip(specs, weights):
         # Coherent lines sit at integer multiples of the acoustic frequency
         # regardless of detuning; merge them by position.
         for nu, weight in zip(spec.coherent_freqs, spec.coherent_weights):
             coherent[float(nu)] = coherent.get(float(nu), 0.0) + wt * weight
-        rho_acc += wt * spec.meta.get("rho_ee_bar", math.nan)
 
     meta = dict(first.meta)
-    meta.update({"diffusion_fwhm": fwhm, "diffusion_nodes": offsets.size,
-                 "rho_ee_bar": rho_acc, "delta0": delta0})
+    meta["rho_ee_bar"] = _node_sum(
+        weights, [spec.meta.get("rho_ee_bar", math.nan) for spec in specs])
+    for key, worst in (("floquet_residual", max), ("n_harmonics", max),
+                       ("min_intensity_preclip", min)):
+        if key in meta:
+            meta[key] = worst(spec.meta[key] for spec in specs)
     peak = float(np.max(intensity))
     intensity = np.maximum(intensity, -1e-9 * peak)
     coh_f = np.array(sorted(coherent))
     coh_w = np.array([coherent[f] for f in coh_f])
-    # Node spectra share the laser-relative grid; report the nominal detuning.
-    return Spectrum(first.freqs, intensity, first.drive.replace_delta(delta0),
+    return Spectrum(first.freqs, intensity, drive,
                     coherent_freqs=coh_f, coherent_weights=coh_w, meta=meta)
 
 
@@ -496,19 +511,6 @@ def single_spectrum(config: DriveConfig, emitter: EmitterParams,
         pipeline.floquet_tol)
 
 
-def _map_one(args):
-    config, emitter, instrument, pipeline = args
-    if instrument is not None and instrument.diffusion_fwhm.rad > 0:
-        spec = apply_spectral_diffusion(
-            lambda d: single_spectrum(config.replace_delta(d), emitter, pipeline),
-            config.delta, instrument, pipeline.n_diffusion_nodes)
-    else:
-        spec = single_spectrum(config, emitter, pipeline)
-    if instrument is not None and instrument.etalon_fwhm.rad > 0:
-        spec = apply_etalon(spec, instrument)
-    return spec
-
-
 def spectrum_map(sweep, emitter: EmitterParams,
                  instrument: InstrumentModel | None = None,
                  pipeline: SpectrumPipelineConfig | None = None,
@@ -517,8 +519,10 @@ def spectrum_map(sweep, emitter: EmitterParams,
 
     An invalid frequency grid or diffusion node count raises ValueError,
     and a window wider than the etalon's free spectral range
-    :class:`AliasingError`, before any spectrum is computed; per-config
-    failures are aggregated by :func:`_sweep`.
+    :class:`AliasingError`, before any spectrum is computed.  Every drive
+    runs at every diffusion node through :func:`_node_sweep` (jobs > 1
+    spreads the nodes over worker processes), then the node spectra are
+    averaged and folded with the etalon.
     """
     sweep = list(sweep)
     if not sweep:
@@ -526,8 +530,14 @@ def spectrum_map(sweep, emitter: EmitterParams,
     pipeline = pipeline or SpectrumPipelineConfig()
     freqs = _uniform_grid(pipeline.window, pipeline.n_freq)
     model = instrument or InstrumentModel()
-    _diffusion_nodes(model.diffusion_fwhm.rad, pipeline.n_diffusion_nodes)
+    offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad,
+                                        pipeline.n_diffusion_nodes)
     if model.etalon_fwhm.rad > 0:
         _check_etalon_window(float(freqs[-1] - freqs[0]), model)
-    return _sweep(_map_one, [(cfg, emitter, instrument, pipeline)
-                             for cfg in sweep], jobs)
+    kernel = partial(resolvent_spectrum, emitter=emitter, freqs=freqs,
+                     floquet_tol=pipeline.floquet_tol)
+    specs = [apply_spectral_diffusion(nodes, weights, drive) for drive, nodes
+             in zip(sweep, _node_sweep(kernel, sweep, offsets, jobs))]
+    if model.etalon_fwhm.rad > 0:
+        specs = [apply_etalon(spec, model) for spec in specs]
+    return specs

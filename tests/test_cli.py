@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawmollow.cli import _json_dump, main
+from sawmollow.cli import _json_dump, emit, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
-from sawmollow.model import Frequency, TWO_PI
+from sawmollow.model import KB, Frequency, TWO_PI
 
 GHZ = TWO_PI * 1e9
 
@@ -121,7 +121,19 @@ class TestSpectrumCommand:
                     "--out", tmp_path / "x.csv"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("numerical error: harmonic balance")
-        assert err[1].startswith("2 of 2 sweep point(s) failed: index 0:")
+        assert err[1].startswith("2 of 2 sweep point(s) failed: "
+                                 "index 0, node 0:")
+
+    def test_diffused_failure_names_every_point_and_node(self, tmp_path,
+                                                          capsys):
+        assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
+                    "--diffusion-mhz", 400, "--nodes", 3, "--tol", 1e-20,
+                    "--out", tmp_path / "x.csv"]) == 3
+        note = capsys.readouterr().err.splitlines()[1]
+        assert note.startswith("6 of 6 sweep point(s) failed: ")
+        for i in (0, 1):
+            for k in (0, 1, 2):
+                assert f"index {i}, node {k}: harmonic balance" in note
 
     @pytest.mark.parametrize("command", [
         ["dressed-lines"], ["fit-absorption", "--data", "d.txt"],
@@ -333,7 +345,9 @@ class TestJobsEnvironment:
     @pytest.mark.parametrize("args", [
         ["cooling-map", "--delta-points", 3, "--rabi-points", 2, "--nodes", 3],
         ["lindblad-map", "--temp-k", 0.1, "--m-max", 10, "--delta-points", 2,
-         "--rabi-points", 2, "--nodes", 3]])
+         "--rabi-points", 2, "--nodes", 3],
+        ["spectrum", "--diffusion-mhz", 678, "--nodes", 5, "--window-ghz", 4,
+         "--points", 41]])
     def test_jobs_do_not_change_cooling_map_bytes(self, tmp_path, args):
         serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
         assert run(args + ["--jobs", 1, "--out", serial]) == 0
@@ -377,6 +391,19 @@ class TestOutputEscaping:
         header = lines[:lines.index("key,value")]
         assert all(line.startswith("# ") for line in header)
         assert f"# data = {tmp_path}/cal\\nx.txt" in header
+
+    def test_fit_report_header_formats_like_emit(self, tmp_path):
+        data = tmp_path / "cal.txt"
+        data.write_text("\n".join(f"{v} {2.0 * v + 0.1}"
+                                  for v in np.linspace(0.1, 0.5, 9)))
+        out, ref = tmp_path / "fit.csv", tmp_path / "ref.csv"
+        assert run(["fit-linear", "--data", data, "--intercept",
+                    "--out", out]) == 0
+        emit([], ["x"], ref, "csv", {"intercept": True, "k_B_J_per_K": KB})
+        expected = ref.read_text().splitlines()[:2]
+        assert expected == ["# intercept = true",
+                            "# k_B_J_per_K = 1.3806490000000001e-23"]
+        assert set(expected) <= set(out.read_text().splitlines())
 
     def test_plain_header_unchanged(self, tmp_path):
         data = tmp_path / "cal.txt"

@@ -18,6 +18,7 @@ from sawmollow.spectrum import (
     SpectrumPipelineConfig,
     UndecayedCorrelatorError,
     _diffusion_nodes,
+    _node_sweep,
     _regression_source,
     _sweep,
     apply_etalon,
@@ -292,57 +293,65 @@ class TestResolventSpectrum:
 
 class TestSpectralDiffusion:
     def test_zero_width_is_identity(self, emitter, drive_resonant):
-        model = InstrumentModel(diffusion_fwhm=Frequency(0.0))
-        calls = []
-
-        def fn(delta):
-            calls.append(delta)
-            return single_spectrum(drive_resonant.replace_delta(delta), emitter,
-                                   SpectrumPipelineConfig(n_freq=101))
-        spec = apply_spectral_diffusion(fn, Frequency(0.0), model, n_nodes=5)
-        assert len(calls) == 1
-        assert spec.drive.delta.rad == 0.0
+        """At zero width the single node of weight 1 keeps the intensity."""
+        _, weights = _diffusion_nodes(0.0, 5)
+        spec = single_spectrum(drive_resonant, emitter,
+                               SpectrumPipelineConfig(n_freq=101))
+        averaged = apply_spectral_diffusion([spec], weights, drive_resonant)
+        assert np.array_equal(averaged.intensity, spec.intensity)
+        assert np.array_equal(averaged.coherent_weights, spec.coherent_weights)
+        assert averaged.drive.delta.rad == 0.0
 
     def test_narrow_line_broadens_to_gaussian_width(self):
         """A detuning-tracking line much narrower than the diffusion width
         averages to the 678 MHz Gaussian (in quadrature with its own
         natural width; the node comb resolves lines of that scale)."""
-        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
         freqs = np.linspace(-3.0, 3.0, 4001) * GHZ
         drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
         natural_fwhm = 0.2
         sigma = natural_fwhm * GHZ / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-        def fn(delta):
+        def line(delta):
             inten = np.exp(-0.5 * ((freqs - delta) / sigma) ** 2)
             inten /= sigma * math.sqrt(2.0 * math.pi)
             return Spectrum(freqs, inten, drive.replace_delta(delta),
                             meta={"rho_ee_bar": 1.0})
 
-        spec = apply_spectral_diffusion(fn, Frequency(0.0), model, n_nodes=41)
+        offsets, weights = _diffusion_nodes(0.678 * GHZ, 41)
+        spec = apply_spectral_diffusion([line(off) for off in offsets],
+                                        weights, drive)
         half = spec.intensity.max() / 2.0
         above = freqs[spec.intensity >= half]
         measured_fwhm = (above[-1] - above[0]) / GHZ
         assert measured_fwhm == pytest.approx(math.hypot(0.678, natural_fwhm),
                                               rel=0.02)
 
-    def test_grid_mismatch_detected(self, emitter):
-        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
+    def test_grid_mismatch_detected(self):
         drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
-
-        def fn(delta):
-            n = 101 if delta == 0.0 else 103
-            freqs = np.linspace(-1, 1, n) * GHZ
-            return Spectrum(freqs, np.ones(n), drive)
-
+        specs = [Spectrum(np.linspace(-1, 1, n) * GHZ, np.ones(n), drive)
+                 for n in (101, 103, 101)]
         with pytest.raises(GridMismatchError):
-            apply_spectral_diffusion(fn, Frequency(0.0), model, n_nodes=5)
+            apply_spectral_diffusion(specs, np.full(3, 1.0 / 3.0), drive)
 
-    def test_rejects_even_node_count(self, emitter):
+    def test_health_reports_the_worst_node(self, emitter):
+        """Residual, truncation and pre-clip minimum of an averaged spectrum
+        are the worst over its nodes, not node 0's."""
+        drive = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
-        with pytest.raises(ValueError):
-            apply_spectral_diffusion(lambda d: None, Frequency(0.0), model,
-                                     n_nodes=4)
+        pipe = SpectrumPipelineConfig(
+            window=(Frequency.from_ghz(-9.0), Frequency.from_ghz(9.0)),
+            n_freq=101, n_diffusion_nodes=21)
+        (spec,) = spectrum_map([drive], emitter, model, pipe)
+        offsets, _ = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
+        nodes = [resolvent_spectrum(drive.replace_delta(off), emitter,
+                                    spec.freqs, pipe.floquet_tol).meta
+                 for off in offsets]
+        residuals = [meta["floquet_residual"] for meta in nodes]
+        assert spec.meta["floquet_residual"] == max(residuals)
+        assert max(residuals) > residuals[0]
+        assert spec.meta["n_harmonics"] == max(m["n_harmonics"] for m in nodes)
+        assert spec.meta["min_intensity_preclip"] == min(
+            m["min_intensity_preclip"] for m in nodes)
 
     @pytest.mark.slow
     def test_quadrature_converged_by_21_nodes(self, emitter):
@@ -350,13 +359,10 @@ class TestSpectralDiffusion:
         less than 1e-4 of the peak."""
         drive = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
-        pipe = SpectrumPipelineConfig(n_freq=801)
-
-        def fn(delta):
-            return single_spectrum(drive.replace_delta(delta), emitter, pipe)
-
-        s21 = apply_spectral_diffusion(fn, Frequency(0.0), model, n_nodes=21)
-        s41 = apply_spectral_diffusion(fn, Frequency(0.0), model, n_nodes=41)
+        s21, s41 = (spectrum_map([drive], emitter, model,
+                                 SpectrumPipelineConfig(
+                                     n_freq=801, n_diffusion_nodes=n))[0]
+                    for n in (21, 41))
         dev = np.max(np.abs(s21.intensity - s41.intensity))
         assert dev < 1e-4 * s41.intensity.max()
 
@@ -463,6 +469,20 @@ class TestSpectrumMap:
         assert "harmonic balance not converged" in raised[0][0]
         assert "index 0" in raised[0][2][0] and "index 1" in raised[0][2][0]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diffused_failure_note_names_point_and_node(self, emitter, jobs):
+        sweep = [DriveConfig.from_ghz(d, 2.0, 0.0, 3.5299) for d in (0.0, 1.0)]
+        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
+        pipe = SpectrumPipelineConfig(n_freq=101, n_diffusion_nodes=3,
+                                      floquet_tol=1e-20)
+        with pytest.raises(ConvergenceError) as err:
+            spectrum_map(sweep, emitter, model, pipe, jobs=jobs)
+        (note,) = err.value.__notes__
+        assert note.startswith("6 of 6 sweep point(s) failed: index 0, node 0:")
+        for i in (0, 1):
+            for k in (0, 1, 2):
+                assert f"index {i}, node {k}: harmonic balance" in note
+
     def test_even_node_count_rejected_before_compute(self, emitter,
                                                      monkeypatch):
         import sawmollow.spectrum as spectrum
@@ -519,6 +539,13 @@ class TestSweepDriver:
         assert note.startswith("2 of 4 sweep point(s) failed")
         assert "index 1: math domain error" in note
         assert "index 3:" in note and "index 0" not in note
+
+    def test_node_sweep_groups_nodes_per_drive(self):
+        drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
+                              Frequency(1.0)) for d in (0.0, 10.0)]
+        results = _node_sweep(lambda drive: drive.delta.rad, drives,
+                              np.array([-1.0, 0.0, 1.0]))
+        assert results == [[-1.0, 0.0, 1.0], [9.0, 10.0, 11.0]]
 
     def test_zero_width_is_one_node(self):
         offsets, weights = _diffusion_nodes(0.0, 21)
