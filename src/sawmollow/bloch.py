@@ -19,9 +19,9 @@ cycle.  Three routes into it live here:
   x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
   and solve for the harmonics by a matrix continued fraction
   (:func:`_sambe_solve`, shared with the spectrum module's resolvent);
-* :func:`monodromy` -- fundamental matrix over one period (stability, and
-  the backbone of the time-domain correlator that the spectrum module
-  keeps as an oracle).
+* :func:`monodromy` -- fundamental matrix over one period (stability);
+  :func:`periodic_fundamental`, its sampled form, is the backbone of the
+  time-domain correlator oracle in tests/correlator_oracle.py.
 """
 
 from __future__ import annotations

@@ -224,10 +224,14 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
 # Shared argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _command(sub, name, func, help_text):
+    """Parser of one subcommand, with the flags that every command takes."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--out", required=False, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_map_flags(p, nodes: int, tol: float | None = None):
@@ -259,15 +263,17 @@ def _add_grid(p, rabi_start: float, points: int):
     p.add_argument("--rabi-points", type=int, default=points)
 
 
-def _add_physics(p, diffusion_default=0.0, etalon_default=0.0):
-    p.add_argument("--delta-ghz", type=float, default=0.0)
-    p.add_argument("--rabi-l-ghz", type=float, default=2.625)
-    p.add_argument("--rabi-s-ghz", type=float, default=1.75)
-    p.add_argument("--omega-s-ghz", type=float, default=DEVICE_OMEGA_S_GHZ)
-    p.add_argument("--gamma-mhz", type=float, default=DEVICE_GAMMA_GHZ * 1e3)
-    p.add_argument("--diffusion-mhz", type=float, default=diffusion_default)
-    p.add_argument("--etalon-mhz", type=float, default=etalon_default)
-    p.add_argument("--fsr-ghz", type=float, default=DEVICE_ETALON_FSR_GHZ)
+# Every physics flag with its default; each command takes those it reads.
+_PHYSICS = {"delta-ghz": 0.0, "rabi-l-ghz": 2.625, "rabi-s-ghz": 1.75,
+            "omega-s-ghz": DEVICE_OMEGA_S_GHZ,
+            "gamma-mhz": DEVICE_GAMMA_GHZ * 1e3, "diffusion-mhz": 0.0,
+            "etalon-mhz": 0.0, "fsr-ghz": DEVICE_ETALON_FSR_GHZ}
+
+
+def _add_physics(p, flags, diffusion_default=0.0):
+    defaults = {**_PHYSICS, "diffusion-mhz": diffusion_default}
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=float, default=defaults[flag])
 
 
 def _check_nonneg(args, names):
@@ -396,7 +402,9 @@ def _grid_rows(deltas, rabis, *fields):
 
 def cmd_cooling_map(args):
     deltas_ghz, rabis_ghz, axes = _grid(args)
-    cmap = cooling_map(*axes, _emitter(args), _drive(args),
+    # The grid sets delta and rabi_L of every drive built on this template.
+    template = DriveConfig.from_ghz(0.0, 0.0, args.rabi_s_ghz, args.omega_s_ghz)
+    cmap = cooling_map(*axes, _emitter(args), template,
                        diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
                        n_nodes=args.nodes, floquet_tol=args.tol,
                        jobs=_jobs(args))
@@ -413,7 +421,9 @@ def cmd_lindblad_map(args):
     deltas_ghz, rabis_ghz, axes = _grid(args)
     cavity = AcousticCavity(Frequency.from_ghz(args.omega_s_ghz), args.q,
                             Frequency.from_ghz(args.g0_mhz / 1e3))
-    cfg = LindbladConfig(emitter, _drive(args), cavity, args.temp_k,
+    # The Liouvillian reads only the grid's delta and rabi_L of the drive.
+    template = DriveConfig.from_ghz(0.0, 0.0, 0.0, args.omega_s_ghz)
+    cfg = LindbladConfig(emitter, template, cavity, args.temp_k,
                          m_max=args.m_max)
     lmap = cooling_performance_map(
         *axes, cfg, diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
@@ -541,40 +551,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="one emission spectrum")
-    _add_common(p)
-    _add_physics(p)
+    p = _command(sub, "spectrum", cmd_spectrum, "one emission spectrum")
+    _add_physics(p, _PHYSICS)
     p.add_argument("--window-ghz", type=float, default=12.0,
                    help="half-width of the frequency window")
     p.add_argument("--points", type=int, default=2001)
     _add_map_flags(p, nodes=21, tol=1e-10)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("spectrum-map", help="spectra over a drive sweep")
-    _add_common(p)
-    _add_physics(p)
+    p = _command(sub, "spectrum-map", cmd_spectrum_map,
+                 "spectra over a drive sweep")
+    _add_physics(p, _PHYSICS)
     _add_drive_sweep(p, points=11)
     p.add_argument("--window-ghz", type=float, default=12.0)
     p.add_argument("--points", type=int, default=2001)
     _add_map_flags(p, nodes=21, tol=1e-10)
-    p.set_defaults(func=cmd_spectrum_map)
 
-    p = sub.add_parser("dressed-lines", help="predicted line table")
-    _add_common(p)
-    _add_physics(p)
+    p = _command(sub, "dressed-lines", cmd_dressed_lines,
+                 "predicted line table")
+    _add_physics(p, ["delta-ghz", "rabi-l-ghz", "rabi-s-ghz", "omega-s-ghz"])
     _add_drive_sweep(p, points=21)
-    p.set_defaults(func=cmd_dressed_lines)
 
-    p = sub.add_parser("cooling-map", help="closed-form phonon rate map")
-    _add_common(p)
-    _add_physics(p, diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
+    p = _command(sub, "cooling-map", cmd_cooling_map,
+                 "closed-form phonon rate map")
+    _add_physics(p, ["rabi-s-ghz", "omega-s-ghz", "gamma-mhz", "diffusion-mhz"],
+                 diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
     _add_grid(p, rabi_start=0.5, points=41)
     _add_map_flags(p, nodes=9, tol=1e-9)
-    p.set_defaults(func=cmd_cooling_map)
 
-    p = sub.add_parser("lindblad-map", help="quantized cooling performance map")
-    _add_common(p)
-    _add_physics(p, diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
+    p = _command(sub, "lindblad-map", cmd_lindblad_map,
+                 "quantized cooling performance map")
+    _add_physics(p, ["omega-s-ghz", "gamma-mhz", "diffusion-mhz"],
+                 diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
     p.add_argument("--temp-k", type=float, default=0.1)
     p.add_argument("--g0-mhz", type=float, default=DEVICE_G0_GHZ * 1e3)
     p.add_argument("--q", type=float, default=DEVICE_Q_FACTOR)
@@ -584,38 +591,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refine the truncation per point")
     _add_grid(p, rabi_start=0.25, points=21)
     _add_map_flags(p, nodes=5)
-    p.set_defaults(func=cmd_lindblad_map)
 
-    p = sub.add_parser("fit-absorption", help="fit sideband absorption data")
-    _add_common(p)
+    p = _command(sub, "fit-absorption", cmd_fit_absorption,
+                 "fit sideband absorption data")
     p.add_argument("--data", required=True,
                    help="two-column file: detuning_GHz, counts")
     p.add_argument("--omega-s-ghz", type=float, default=DEVICE_OMEGA_S_GHZ)
     p.add_argument("--init-rabi-s-ghz", type=float, default=1.0)
     p.add_argument("--init-linewidth-ghz", type=float, default=0.5)
-    p.set_defaults(func=cmd_fit_absorption)
 
-    p = sub.add_parser("fit-lorentzian", help="fit a Lorentzian resonance")
-    _add_common(p)
+    p = _command(sub, "fit-lorentzian", cmd_fit_lorentzian,
+                 "fit a Lorentzian resonance")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_fit_lorentzian)
 
-    p = sub.add_parser("fit-linear", help="linear calibration slope")
-    _add_common(p)
+    p = _command(sub, "fit-linear", cmd_fit_linear, "linear calibration slope")
     p.add_argument("--data", required=True)
     p.add_argument("--intercept", action="store_true")
-    p.set_defaults(func=cmd_fit_linear)
 
-    p = sub.add_parser("background", help="quadratic background extrapolation")
-    _add_common(p)
+    p = _command(sub, "background", cmd_background,
+                 "quadratic background extrapolation")
     p.add_argument("--data", required=True,
                    help="two-column file: bias_V, counts")
     p.add_argument("--target", type=float, required=True)
-    p.set_defaults(func=cmd_background)
 
-    p = sub.add_parser("selftest", help="run the quick invariant suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_selftest)
+    _command(sub, "selftest", cmd_selftest, "run the quick invariant suite")
 
     return parser
 

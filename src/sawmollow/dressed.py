@@ -68,11 +68,7 @@ def dressed_splitting(config: DriveConfig) -> Frequency:
     """Acoustic anti-crossing gap G = sqrt((omega_S - Omega_R)^2 +
     (rabi_S sin 2 theta_L)^2); the side peaks of each triplet split by 2G,
     with minimum 2*rabi_S at the Rabi resonance."""
-    angles = mixing_angles(config)
-    ws = config.omega_S.rad
-    wr = config.rabi_R.rad
-    coupling = config.rabi_S.rad * math.sin(2.0 * angles.theta_L)
-    return Frequency(math.hypot(ws - wr, coupling))
+    return Frequency(_dressing_cosines(config)[2])
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,6 @@ def eigensystem_check(config: DriveConfig, n_ref: int, m_ref: int,
             h[ei, ei + 2] = h[ei + 2, ei] = amp
     evals = np.linalg.eigvalsh(h)
 
-    angles = mixing_angles(config)
     gap = dressed_splitting(config).rad
     wr = config.rabi_R.rad
     # Analytic doubly dressed levels near the reference phonon number:

@@ -20,6 +20,31 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def data_rows(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+# The physics flags each command takes, and a tiny run of each command.
+PHYSICS = ["--delta-ghz", "--rabi-l-ghz", "--rabi-s-ghz", "--omega-s-ghz",
+           "--gamma-mhz", "--diffusion-mhz", "--etalon-mhz", "--fsr-ghz"]
+TAKES = {"spectrum": PHYSICS, "spectrum-map": PHYSICS,
+         "dressed-lines": PHYSICS[:4],
+         "cooling-map": ["--rabi-s-ghz", "--omega-s-ghz", "--gamma-mhz",
+                         "--diffusion-mhz"],
+         "lindblad-map": ["--omega-s-ghz", "--gamma-mhz", "--diffusion-mhz"]}
+TINY = {"spectrum": ["--window-ghz", 4, "--points", 21, "--nodes", 3],
+        "spectrum-map": ["--sweep-points", 2, "--window-ghz", 4,
+                         "--points", 21, "--nodes", 3],
+        "dressed-lines": ["--sweep-points", 3],
+        "cooling-map": ["--delta-points", 2, "--rabi-points", 2,
+                        "--nodes", 3],
+        "lindblad-map": ["--temp-k", 0.1, "--delta-points", 2,
+                         "--rabi-points", 1, "--nodes", 3]}
+PERTURBED = {"--delta-ghz": 0.4, "--rabi-l-ghz": 1.5, "--rabi-s-ghz": 0.8,
+             "--omega-s-ghz": 3.0, "--gamma-mhz": 300, "--diffusion-mhz": 250,
+             "--etalon-mhz": 300, "--fsr-ghz": 7}
+
+
 def assert_succeeds_or_exits_2(args, out):
     """The run exits 0 and writes out, or exits 2 with a message and
     writes nothing."""
@@ -150,6 +175,44 @@ class TestSpectrumCommand:
                 run(command + flag + ["--out", tmp_path / "x.csv"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,flag",
+                             [(c, f) for c in TAKES for f in PHYSICS])
+    def test_physics_flag_acts_or_is_rejected(self, command, flag, tmp_path):
+        """A physics flag that a command takes changes its data rows; any
+        other exits 2.  The swept quantity of a sweep command is the one the
+        flag does not set.  --fsr-ghz enters only through the etalon, whose
+        window it must cover: at 7 GHz it rejects the 8 GHz window."""
+        args = [command, *TINY[command]]
+        if command in ("spectrum-map", "dressed-lines"):
+            sweep = "delta" if flag == "--rabi-l-ghz" else "rabi-l"
+            args += ["--sweep", sweep, "--sweep-start", 0.5,
+                     "--sweep-stop", 2.5]
+        if flag not in TAKES[command]:
+            with pytest.raises(SystemExit) as exc:
+                run(args + [flag, PERTURBED[flag], "--out", tmp_path / "x"])
+            assert exc.value.code == 2
+            return
+        if flag == "--fsr-ghz":
+            args += ["--etalon-mhz", 300]
+        base, changed = tmp_path / "base.csv", tmp_path / "changed.csv"
+        assert run(args + ["--out", base]) == 0
+        code = run(args + [flag, PERTURBED[flag], "--out", changed])
+        if flag == "--fsr-ghz":
+            assert code == 2 and not changed.exists()
+        else:
+            assert code == 0
+            assert data_rows(base) != data_rows(changed)
+
+    @pytest.mark.parametrize("extra", [[], ["--diffusion-mhz", 678,
+                                            "--nodes", 5]])
+    def test_undriven_spectrum_has_no_negative_zero(self, tmp_path, extra):
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--rabi-l-ghz", 0, "--window-ghz", 4,
+                    "--points", 41, *extra, "--out", out]) == 0
+        intensities = [row.split(",")[1] for row in data_rows(out)[1:]]
+        assert len(intensities) == 41
+        assert set(intensities) == {"0"}
+
     @given(command=st.sampled_from(["spectrum", "cooling-map"]),
            nodes=st.integers(-1, 8),
            diffusion=st.floats(0.0, 1000.0, allow_nan=False))
@@ -172,6 +235,32 @@ class TestSpectrumCommand:
             ["lindblad-map", "--delta-points", 1, "--rabi-points", 1,
              "--diffusion-mhz", 0, "--temp-k", repr(temp), "--m-max", m_max],
             tmp_path_factory.mktemp("prop") / "x.csv")
+
+    @given(command=st.sampled_from(["spectrum-map", "dressed-lines"]),
+           sweep=st.sampled_from(["rabi-l", "delta"]),
+           ends=st.tuples(st.floats(-1.0, 6.0), st.floats(-1.0, 6.0)),
+           drive=st.tuples(st.floats(-6.0, 6.0), st.floats(-0.1, 6.0),
+                           st.floats(-0.1, 3.0),
+                           st.floats(1.0, 6.0) | st.just(0.0)),
+           instrument=st.tuples(st.floats(1.0, 1000.0) | st.just(0.0),
+                                st.floats(-1.0, 1000.0),
+                                st.floats(-1.0, 1000.0),
+                                st.floats(0.0, 30.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_physics_inputs_succeed_or_exit_2(
+            self, tmp_path_factory, command, sweep, ends, drive, instrument):
+        """Random physics values on tiny sweeps.  Where the acoustic
+        frequency and the linewidth are positive they are at least 1 GHz and
+        1 MHz, so the harmonic balance converges and exit 3 cannot occur."""
+        # --flag=value throughout: argparse reads a lone "-1e-3" as a flag.
+        args = [command, "--sweep", sweep, f"--sweep-start={ends[0]!r}",
+                f"--sweep-stop={ends[1]!r}", "--sweep-points", 2]
+        values = drive + instrument if command == "spectrum-map" else drive
+        args += [f"{flag}={value!r}" for flag, value in zip(PHYSICS, values)]
+        if command == "spectrum-map":
+            args += ["--window-ghz", 4, "--points", 11, "--nodes", 3]
+        assert_succeeds_or_exits_2(
+            args, tmp_path_factory.mktemp("prop") / "x.csv")
 
     def test_truncation_past_the_cap_exits_3_quickly(self, tmp_path, capsys):
         """A modulation index of 5.7e5 asks for more harmonics than the
@@ -324,11 +413,6 @@ class TestConfigRoundTrip:
         cfg.write_text("\n".join(cfg_lines) + "\n")
         second = tmp_path / "b.csv"
         assert run(["spectrum", "--config", cfg, "--out", second]) == 0
-
-        def data_rows(path):
-            return [l for l in path.read_text().splitlines()
-                    if not l.startswith("#")]
-
         assert data_rows(first) == data_rows(second)
 
 

@@ -16,17 +16,20 @@ from sawmollow.spectrum import (
     GridMismatchError,
     InstrumentModel,
     SpectrumPipelineConfig,
-    UndecayedCorrelatorError,
     _diffusion_nodes,
     _node_sweep,
     _regression_source,
     _sweep,
     apply_etalon,
     apply_spectral_diffusion,
-    emission_spectrum,
     resolvent_spectrum,
     single_spectrum,
     spectrum_map,
+)
+
+from correlator_oracle import (
+    UndecayedCorrelatorError,
+    emission_spectrum,
     transform_correlator,
     two_time_correlator,
 )
