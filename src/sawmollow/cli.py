@@ -36,10 +36,13 @@ from .bloch import (
 from .cooling import (
     AcousticCavity,
     LindbladConfig,
+    _band_steady_state,
+    _solve_band,
     cooling_map,
     cooling_performance_map,
     cooling_rate_closed_form,
     cooling_rate_from_table,
+    lindblad_steady_state,
 )
 from .dressed import overlay_lines, table_from_angles
 from .fitting import (
@@ -531,6 +534,22 @@ def cmd_selftest(args):
     check("closed-form rate equals table sum", worst_rate < 1e-10,
           f"{worst_rate:.2e}")
 
+    cavity = AcousticCavity(Frequency.from_ghz(DEVICE_OMEGA_S_GHZ),
+                            DEVICE_Q_FACTOR, Frequency.from_ghz(DEVICE_G0_GHZ))
+    red, off = (LindbladConfig(emitter, DriveConfig.from_ghz(
+        -2.9, rabi_l, 0.0, DEVICE_OMEGA_S_GHZ), cavity, 0.1)
+        for rabi_l in (2.0, 0.0))
+    _, m_band, _, band = _band_steady_state(red, 11)
+    _, m_full, _ = _solve_band(red, 11, 10)
+    dev = abs(m_band - m_full) / red.m_th
+    check("Lindblad band solve equals full Liouvillian (m_max = 10)",
+          dev < 1e-10, f"K = {band}, |dm_ss|/m_th = {dev:.1e}")
+
+    res = lindblad_steady_state(off)
+    dev = abs(res.m_ss - res.m_th) / res.m_th
+    check("laser-off Lindblad state is thermal (0.1 K)", dev < 1e-6,
+          f"|m_ss - m_th|/m_th = {dev:.1e}")
+
     if failures:
         raise ConvergenceError(f"selftest failed: {', '.join(failures)}",
                                residual=float("nan"))
@@ -637,34 +656,35 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_config_file(parser, argv):
+    """Defaults of the chosen command from its --config file, which may
+    hold only keys that the command takes."""
     probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("command", nargs="?")
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if not known.config:
+    command = parser._subparsers._group_actions[0].choices.get(known.command)
+    if not known.config or command is None:
         return
     raw = _load_config_file(known.config)
-    unknown = set(raw)
-    for action_parser in parser._subparsers._group_actions[0].choices.values():
-        defaults = {}
-        for action in action_parser._actions:
-            unknown.discard(action.dest)
-            if action.dest in raw:
-                text = raw[action.dest]
-                if action.type is not None:
-                    try:
-                        defaults[action.dest] = action.type(text)
-                    except ValueError as exc:
-                        raise ConfigError(
-                            f"config value {action.dest} = {text!r}: {exc}")
-                elif isinstance(action, argparse._StoreTrueAction):
-                    defaults[action.dest] = text.lower() in ("1", "true", "yes")
-                else:
-                    defaults[action.dest] = text
-        if defaults:
-            action_parser.set_defaults(**defaults)
-    if unknown:
-        raise ConfigError(f"{known.config}: no command takes "
-                          f"{', '.join(sorted(unknown))}")
+    defaults = {}
+    for action in command._actions:
+        if action.dest not in raw:
+            continue
+        text = raw.pop(action.dest)
+        if action.type is not None:
+            try:
+                defaults[action.dest] = action.type(text)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"config value {action.dest} = {text!r}: {exc}")
+        elif isinstance(action, argparse._StoreTrueAction):
+            defaults[action.dest] = text.lower() in ("1", "true", "yes")
+        else:
+            defaults[action.dest] = text
+    if raw:
+        raise ConfigError(f"{known.config}: {known.command} does not take "
+                          f"{', '.join(sorted(raw))}")
+    command.set_defaults(**defaults)
 
 
 def _report(kind: str, exc: BaseException) -> None:

@@ -14,7 +14,10 @@ The quantized route solves d rho/dt = 0 for the Lindblad master equation
 of the two-level system coupled to a damped thermal phonon mode (jump
 operators: spontaneous emission, thermal pumping gamma_S*m_th b+, and
 damping gamma_S*(m_th+1) b) and reports the normalized cooling
-performance C = (m_ss - m_th)/m_th.
+performance C = (m_ss - m_th)/m_th.  The coupling is weak, so the solve
+keeps only the phonon coherences rho[m, m'] with |m - m'| <= K (the band),
+raising K from 1 until m_ss moves by at most _BAND_TOL * m_th; at its cap
+m_max the band is the full Liouvillian.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .spectrum import _diffusion_nodes, _node_sum, _node_sweep
 _TAIL_MASS = 1e-8   # thermal occupation beyond the initial Fock truncation
 _REL_TOL = 1e-4     # adaptive Fock growth stops when m_ss moves less than this
 _MAX_ROUNDS = 12    # adaptive Fock growth gives up after this many solves
+_BAND_TOL = 1e-10   # band growth stops when m_ss moves less than this * m_th
 
 
 class ResolutionWarning(UserWarning):
@@ -258,6 +262,7 @@ class SteadyStateResult:
     min_eigenvalue: float
     residual_norm: float
     m_max_used: int
+    band: int
     m_th: float
 
     def __post_init__(self):
@@ -269,32 +274,21 @@ class SteadyStateResult:
                                    residual=-self.min_eigenvalue)
 
 
-def _phonon_ops(n_fock: int):
-    ms = np.arange(n_fock)
-    b = sp.diags(np.sqrt(ms[1:]), 1, format="csr")
-    num = sp.diags(ms.astype(float), 0, format="csr")
-    return b, num
-
-
-def _liouvillian_parts(cfg: LindbladConfig, n_fock: int):
-    """Sparse Liouvillian split as (delta-independent part, delta coefficient)."""
-    return _liouvillian_parts_cached(
-        cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
-        cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th, n_fock)
-
-
-@lru_cache(maxsize=8)
-def _liouvillian_parts_cached(wl: float, ws: float, g0: float, gamma: float,
-                              gamma_s: float, m_th: float, n_fock: int):
+@lru_cache(maxsize=16)
+def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
+                       gamma_s: float, m_th: float, n_fock: int, band: int):
+    """Band-limited sparse Liouvillian split as (delta-independent part,
+    delta coefficient), and the column-major positions in rho of its
+    unknowns: the entries rho[(s,m),(s',m')] with |m - m'| <= band."""
     sz = sp.csr_matrix(np.diag([1.0, -1.0]))
     sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     sm = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
     ident_s = sp.identity(2, format="csr")
-    b, num = _phonon_ops(n_fock)
+    b = sp.diags(np.sqrt(np.arange(1.0, n_fock)), 1, format="csr")
     ident_f = sp.identity(n_fock, format="csr")
 
     h_fixed = (0.5 * wl * sp.kron(sx, ident_f)
-               + ws * sp.kron(ident_s, num)
+               + ws * sp.kron(ident_s, sp.diags(np.arange(float(n_fock))))
                + 0.5 * g0 * sp.kron(sz, b + b.T)).tocsr()
     h_delta = (-0.5) * sp.kron(sz, ident_f).tocsr()  # multiplied by delta
 
@@ -304,71 +298,93 @@ def _liouvillian_parts_cached(wl: float, ws: float, g0: float, gamma: float,
 
     dim = 2 * n_fock
     ident = sp.identity(dim, format="csr")
+    ms = np.tile(np.arange(n_fock), 2)
+    cells = np.flatnonzero(
+        (np.abs(ms[:, None] - ms[None, :]) <= band).ravel(order="F"))
+    index = np.full(dim * dim, -1)
+    index[cells] = np.arange(cells.size)
 
-    def commutator_super(h):
-        return -1j * (sp.kron(ident, h) - sp.kron(h.T, ident))
+    def sandwich(left, right):
+        """rho -> left @ rho @ right, restricted to the band."""
+        term = sp.kron(right.T, left, format="coo")
+        rows, cols = index[term.row], index[term.col]
+        keep = (rows >= 0) & (cols >= 0)
+        return sp.csr_matrix((term.data[keep], (rows[keep], cols[keep])),
+                             shape=(cells.size, cells.size))
 
-    l_fixed = commutator_super(h_fixed)
+    cdc = sum((c.conjugate().T @ c).tocsr() for c in jumps)
+    l_fixed = (sandwich(-1j * h_fixed - 0.5 * cdc, ident)
+               + sandwich(ident, 1j * h_fixed - 0.5 * cdc))
     for c in jumps:
-        c = c.tocsr()
-        cdc = (c.conjugate().T @ c).tocsr()
-        l_fixed = (l_fixed + sp.kron(c.conjugate(), c)
-                   - 0.5 * sp.kron(ident, cdc)
-                   - 0.5 * sp.kron(cdc.T, ident))
-    l_delta = commutator_super(h_delta)
-    return l_fixed.tocsr(), l_delta.tocsr()
+        l_fixed = l_fixed + sandwich(c, c.conjugate().T)
+    l_delta = sandwich(-1j * h_delta, ident) + sandwich(ident, 1j * h_delta)
+    return l_fixed.tocsr(), l_delta.tocsr(), cells
 
 
-def _solve_steady(l_total: sp.csr_matrix, n_fock: int):
-    """Null vector with unit trace via a weighted trace row added to row 0.
-
-    The minimum-degree ordering on A + A^T exploits the near-symmetric
-    lattice structure of the Liouvillian; it is an order of magnitude
-    faster than column orderings on the large Fock spaces.
-    """
-    dim = 2 * n_fock
-    size = dim * dim
+def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
+    """Hermitian steady state on the band |m - m'| <= band, zero outside it,
+    its phonon number and the band equations' residual.  The unit trace is a
+    weighted row added to row 0; COLAMD keeps the banded LU fill small."""
+    l_fixed, l_delta, cells = _liouvillian_parts(
+        cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
+        cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th, n_fock,
+        band)
+    l_total = (l_fixed + cfg.drive.delta.rad * l_delta).tocsr()
+    dim, size = 2 * n_fock, cells.size
     weight = float(np.mean(np.abs(l_total.data)))
-    trace_cols = np.arange(dim) * (dim + 1)
+    trace_cols = np.searchsorted(cells, np.arange(dim) * (dim + 1))
     trace_row = sp.csr_matrix(
         (np.full(dim, weight), (np.zeros(dim, dtype=int), trace_cols)),
         shape=(size, size))
     rhs = np.zeros(size, dtype=complex)
     rhs[0] = weight
-    lu = splu((l_total + trace_row).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu((l_total + trace_row).tocsc(), permc_spec="COLAMD")
     x = lu.solve(rhs)
-    rho = x.reshape((dim, dim), order="F")
     residual = float(np.linalg.norm(l_total @ x, np.inf))
-    return rho, residual
+    flat = np.zeros(dim * dim, dtype=complex)
+    flat[cells] = x
+    rho = flat.reshape((dim, dim), order="F")
+    m_ss = float(np.sum(np.tile(np.arange(n_fock), 2) * np.real(np.diag(rho))))
+    return 0.5 * (rho + rho.conjugate().T), m_ss, residual
+
+
+def _band_steady_state(cfg: LindbladConfig, n_fock: int):
+    """rho, m_ss, band residual and band K of the steady state at n_fock:
+    K grows from 1 until m_ss moves by at most _BAND_TOL * m_th, and stops
+    at m_max = n_fock - 1, where the band is the full Liouvillian."""
+    previous = None
+    for band in range(1, n_fock):
+        rho, m_ss, residual = _solve_band(cfg, n_fock, band)
+        if (previous is not None
+                and abs(m_ss - previous) <= _BAND_TOL * cfg.m_th):
+            break
+        previous = m_ss
+    return rho, m_ss, residual, band
 
 
 def lindblad_steady_state(cfg: LindbladConfig,
                           adaptive: bool = True) -> SteadyStateResult:
     """Steady state of the quantized emitter-phonon master equation.
 
-    Builds the Liouvillian on the 2*(m_max+1)-dimensional Hilbert space and
-    solves the null-space problem directly with a unit-trace constraint.
-    With adaptive=True the Fock truncation grows by 25% until the steady
-    phonon number changes by less than _REL_TOL, for at most _MAX_ROUNDS
-    solves.
+    Solves the null-space problem of the Liouvillian on the
+    2*(m_max+1)-dimensional Hilbert space directly, with a unit-trace
+    constraint, over the band |m - m'| <= K of phonon coherences; K grows
+    from 1 until m_ss moves by at most _BAND_TOL * m_th, up to the full
+    Liouvillian at K = m_max.  With adaptive=True the Fock truncation grows
+    by 25% until m_ss changes by less than _REL_TOL, for at most
+    _MAX_ROUNDS band solves.
     """
     m_th = cfg.m_th
     m = cfg.initial_m_max()
     previous = None
     for _ in range(_MAX_ROUNDS):
-        n_fock = m + 1
-        l_fixed, l_delta = _liouvillian_parts(cfg, n_fock)
-        l_total = (l_fixed + cfg.drive.delta.rad * l_delta).tocsr()
-        rho, residual = _solve_steady(l_total, n_fock)
-        rho = 0.5 * (rho + rho.conjugate().T)
-        trace_error = abs(float(np.trace(rho).real) - 1.0)
-        diag = np.real(np.diag(rho))
-        m_ss = float(np.sum(np.tile(np.arange(n_fock), 2) * diag))
+        rho, m_ss, residual, band = _band_steady_state(cfg, m + 1)
         if not adaptive or (previous is not None
                             and abs(m_ss - previous) <= _REL_TOL * abs(m_ss)):
+            trace_error = abs(float(np.trace(rho).real) - 1.0)
             min_eig = float(np.linalg.eigvalsh(rho)[0])
             return SteadyStateResult(m_ss, (m_ss - m_th) / m_th, trace_error,
-                                     min_eig, residual, m, m_th)
+                                     min_eig, residual, m, band, m_th)
         previous = m_ss
         m = math.ceil(1.25 * m)
     raise ConvergenceError(
@@ -390,9 +406,10 @@ class LindbladMap:
 
 
 def _performance_point(cfg: LindbladConfig, adaptive: bool, drive: DriveConfig):
-    """C, m_ss, trace error and minimum eigenvalue of cfg at one drive."""
+    """C, m_ss, trace error, minimum eigenvalue and band of cfg at a drive."""
     res = lindblad_steady_state(replace(cfg, drive=drive), adaptive=adaptive)
-    return res.cooling_C, res.m_ss, res.trace_error, res.min_eigenvalue
+    return (res.cooling_C, res.m_ss, res.trace_error, res.min_eigenvalue,
+            res.band)
 
 
 def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
@@ -409,7 +426,7 @@ def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
     fwhm = _as_rad(diffusion_fwhm)
     offsets, weights = _diffusion_nodes(fwhm, n_nodes)
     kernel = partial(_performance_point, cfg, adaptive)
-    deltas, rabi_Ls, (c_map, m_map, trace, eig) = _grid_sweep(
+    deltas, rabi_Ls, (c_map, m_map, trace, eig, band) = _grid_sweep(
         kernel, deltas, rabi_Ls, cfg.drive, offsets, jobs)
     # A map whose solves are all positive reports a minimum eigenvalue of 0.
     return LindbladMap(deltas, rabi_Ls, _node_sum(weights, c_map),
@@ -417,4 +434,4 @@ def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
                        min(0.0, float(eig.min())),
                        meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
                              "temperature": cfg.temperature,
-                             "m_th": cfg.m_th})
+                             "m_th": cfg.m_th, "max_band": int(band.max())})

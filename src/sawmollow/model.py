@@ -184,6 +184,8 @@ class Spectrum:
         intensity = np.asarray(intensity, dtype=float)
         if freqs.ndim != 1 or freqs.shape != intensity.shape:
             raise ValueError("freqs and intensity must be 1-d and equal length")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(intensity))):
+            raise ValueError("freqs and intensity must be finite")
         if freqs.size >= 2 and not np.all(np.diff(freqs) > 0):
             raise ValueError("freqs must be strictly increasing")
         peak = float(np.max(intensity)) if intensity.size else 0.0

@@ -68,6 +68,10 @@ class InstrumentModel:
     def __post_init__(self):
         if self.diffusion_fwhm.rad < 0 or self.etalon_fwhm.rad < 0:
             raise ValueError("instrument widths must be non-negative")
+        hw = 0.5 * self.etalon_fwhm.rad
+        if hw > 0 and hw * hw < np.finfo(float).tiny:
+            raise ValueError("etalon linewidth is too small: its half-width "
+                             "squared underflows")
         if self.etalon_fsr.rad <= self.etalon_fwhm.rad:
             raise ValueError("etalon FSR must exceed its linewidth")
 

@@ -125,6 +125,16 @@ class TestSpectrumCommand:
         assert "free spectral range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fwhm", ["1e-200", "1e-300"])
+    def test_underflowing_etalon_width_exits_2(self, tmp_path, capsys, fwhm):
+        """An etalon half-width whose square underflows would turn every
+        row into nan; it is rejected before any spectrum is computed."""
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--window-ghz", 4, "--points", 11,
+                    "--etalon-mhz", fwhm, "--out", out]) == 2
+        assert "underflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         assert run(["spectrum", "--points", 1,
                     "--out", tmp_path / "x.csv"]) == 2
@@ -283,6 +293,20 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--config", cfg,
                     "--out", tmp_path / "x.csv"]) == 2
         assert "n_phase" in capsys.readouterr().err
+
+
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        args = ["cooling-map", "--config", cfg, "--delta-points", 2,
+                "--rabi-points", 1, "--out", out]
+        cfg.write_text("nodes = 3\netalon_mhz = 525\n")
+        assert run(args) == 2
+        assert ("cooling-map does not take etalon_mhz"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        cfg.write_text("nodes = 3\n")
+        assert run(args) == 0
+        assert "# nodes = 3\n" in out.read_text()
 
 
 class TestMapsAndLines:

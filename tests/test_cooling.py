@@ -268,12 +268,10 @@ class TestLindbladSteadyState:
         cfg = LindbladConfig(emitter, drive, cavity, temperature=0.1,
                              m_max=20)
         res = lindblad_steady_state(cfg, adaptive=False)
-        # re-solve to get the density matrix marginal directly
-        from sawmollow.cooling import _liouvillian_parts, _solve_steady
+        # re-solve on the full band (K = m_max) to get the marginal directly
+        from sawmollow.cooling import _solve_band
         n_fock = 21
-        lf, ld = _liouvillian_parts(cfg, n_fock)
-        rho, _ = _solve_steady((lf + drive.delta.rad * ld).tocsr(), n_fock)
-        rho = 0.5 * (rho + rho.conjugate().T)
+        rho, _, _ = _solve_band(cfg, n_fock, n_fock - 1)
         marginal = np.real(np.diag(rho)[:n_fock] + np.diag(rho)[n_fock:])
         ratio = cfg.m_th / (cfg.m_th + 1.0)
         for k in range(10):
@@ -322,6 +320,72 @@ class TestLindbladSteadyState:
             LindbladConfig(emitter, drive, cavity, temperature=1e-5)
 
 
+def _dense_m_ss(cfg: LindbladConfig, m_max: int) -> float:
+    """m_ss of the master equation built densely from numpy kron in the
+    commutator form, with the trace condition replacing the (0, 0)
+    population equation, solved by dense LU."""
+    n = m_max + 1
+    b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]])
+    i2, i_f = np.eye(2), np.eye(n)
+    gamma_s, m_th = cfg.cavity.dissipation.rad, cfg.m_th
+    h = (0.5 * cfg.drive.rabi_L.rad * np.kron(sx, i_f)
+         - 0.5 * cfg.drive.delta.rad * np.kron(sz, i_f)
+         + cfg.cavity.omega_S.rad * np.kron(i2, b.T @ b)
+         + 0.5 * cfg.cavity.g0.rad * np.kron(sz, b + b.T))
+    jumps = [math.sqrt(cfg.emitter.gamma.rad) * np.kron(sm, i_f),
+             math.sqrt(gamma_s * m_th) * np.kron(i2, b.T),
+             math.sqrt(gamma_s * (m_th + 1.0)) * np.kron(i2, b)]
+    ident = np.eye(2 * n)
+    liou = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for c in jumps:
+        cdc = c.conj().T @ c
+        liou += (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
+                 - 0.5 * np.kron(cdc.T, ident))
+    scale = np.abs(liou).max()
+    liou[0] = scale * ident.ravel(order="F")
+    rhs = np.zeros(liou.shape[0], dtype=complex)
+    rhs[0] = scale
+    rho = np.linalg.solve(liou, rhs).reshape((2 * n, 2 * n), order="F")
+    return float(np.real(np.trace(np.kron(i2, b.T @ b) @ rho)))
+
+
+D_STAR = math.sqrt(3.5299 ** 2 - 2.0 ** 2)   # Rabi resonance at rabi_L = 2
+
+
+class TestLindbladBandOracle:
+    """The band-limited solve against a dense Liouvillian built here."""
+
+    @pytest.mark.parametrize("temperature", [0.1, 1.0])
+    @pytest.mark.parametrize("delta, rabi_l", [(-2.0, 0.0), (-D_STAR, 2.0),
+                                               (D_STAR, 2.0)],
+                             ids=["laser-off", "red", "blue"])
+    def test_band_solve_matches_dense_liouvillian(self, emitter, cavity,
+                                                  temperature, delta, rabi_l):
+        from sawmollow.cooling import _band_steady_state, _solve_band
+        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(
+            delta, rabi_l, 0.0, 3.5299), cavity, temperature)
+        m_max = 8  # below the thermal-tail bound: the Fock size is forced
+        oracle = _dense_m_ss(cfg, m_max)
+        _, full, _ = _solve_band(cfg, m_max + 1, m_max)
+        _, adaptive, _, band = _band_steady_state(cfg, m_max + 1)
+        assert 1 <= band < m_max
+        assert abs(full - oracle) <= 1e-10 * cfg.m_th
+        assert abs(adaptive - oracle) <= 1e-10 * cfg.m_th
+
+    @pytest.mark.slow
+    def test_adaptive_band_matches_full_band_at_1k(self, emitter, cavity):
+        from sawmollow.cooling import _solve_band
+        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(
+            -D_STAR, 2.0, 0.0, 3.5299), cavity, temperature=1.0)
+        res = lindblad_steady_state(cfg, adaptive=False)
+        assert res.m_max_used > 100 and res.band < 5
+        _, full, _ = _solve_band(cfg, res.m_max_used + 1, res.m_max_used)
+        assert abs(res.m_ss - full) <= 1e-10 * res.m_th
+
+
 class TestPerformanceMap:
     def test_sign_agrees_with_closed_form(self, emitter, cavity):
         deltas = [Frequency.from_ghz(d) for d in (-3.2, -2.0, 2.0, 3.2)]
@@ -349,3 +413,5 @@ class TestPerformanceMap:
         assert np.array_equal(maps[0].m_ss, maps[1].m_ss)
         assert maps[0].worst_trace_error == maps[1].worst_trace_error
         assert maps[0].worst_min_eigenvalue == maps[1].worst_min_eigenvalue
+        assert maps[0].meta["max_band"] == maps[1].meta["max_band"]
+        assert 2 <= maps[0].meta["max_band"] < 10

@@ -156,6 +156,16 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum([0.0, 1.0, 2.0], [1.0, -0.5, 1.0], cfg)
 
+    @pytest.mark.parametrize("freqs, intensity", [
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [np.nan] * 3),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0])])
+    def test_rejects_non_finite_values(self, freqs, intensity):
+        cfg = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5)
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(freqs, intensity, cfg)
+
     def test_integrate_window(self):
         cfg = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5)
         freqs = np.linspace(-1.0, 1.0, 201)
