@@ -36,8 +36,7 @@ from .bloch import (
 from .cooling import (
     AcousticCavity,
     LindbladConfig,
-    _band_steady_state,
-    _solve_band,
+    band_deviation,
     cooling_map,
     cooling_performance_map,
     cooling_rate_closed_form,
@@ -539,14 +538,10 @@ def cmd_selftest(args):
     red, off = (LindbladConfig(emitter, DriveConfig.from_ghz(
         -2.9, rabi_l, 0.0, DEVICE_OMEGA_S_GHZ), cavity, 0.1)
         for rabi_l in (2.0, 0.0))
-    _, m_band, _, band = _band_steady_state(red, 11)
-    _, m_full, _ = _solve_band(red, 11, 10)
-    dev = abs(m_band - m_full) / red.m_th
+    band, dev = band_deviation(red, 10)
     check("Lindblad band solve equals full Liouvillian (m_max = 10)",
           dev < 1e-10, f"K = {band}, |dm_ss|/m_th = {dev:.1e}")
-
-    res = lindblad_steady_state(off)
-    dev = abs(res.m_ss - res.m_th) / res.m_th
+    dev = abs(lindblad_steady_state(off).cooling_C)  # |m_ss - m_th| / m_th
     check("laser-off Lindblad state is thermal (0.1 K)", dev < 1e-6,
           f"|m_ss - m_th|/m_th = {dev:.1e}")
 
@@ -656,8 +651,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_config_file(parser, argv):
-    """Defaults of the chosen command from its --config file, which may
-    hold only keys that the command takes."""
+    """Defaults of the chosen command from --config; it must take each key."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("command", nargs="?")
     probe.add_argument("--config")
@@ -667,9 +661,7 @@ def _apply_config_file(parser, argv):
         return
     raw = _load_config_file(known.config)
     defaults = {}
-    for action in command._actions:
-        if action.dest not in raw:
-            continue
+    for action in (a for a in command._actions if a.dest in raw):
         text = raw.pop(action.dest)
         if action.type is not None:
             try:

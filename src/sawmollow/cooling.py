@@ -260,7 +260,7 @@ class SteadyStateResult:
     cooling_C: float
     trace_error: float
     min_eigenvalue: float
-    residual_norm: float
+    residual_norm: float    # of the band equations: round-off, not truncation
     m_max_used: int
     band: int
     m_th: float
@@ -277,9 +277,8 @@ class SteadyStateResult:
 @lru_cache(maxsize=16)
 def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
                        gamma_s: float, m_th: float, n_fock: int, band: int):
-    """Band-limited sparse Liouvillian split as (delta-independent part,
-    delta coefficient), and the column-major positions in rho of its
-    unknowns: the entries rho[(s,m),(s',m')] with |m - m'| <= band."""
+    """Sparse Liouvillian on the band |m - m'| <= band as (delta-independent
+    part, delta coefficient), and the column-major cells of rho it acts on."""
     sz = sp.csr_matrix(np.diag([1.0, -1.0]))
     sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     sm = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -322,9 +321,13 @@ def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
 
 
 def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
-    """Hermitian steady state on the band |m - m'| <= band, zero outside it,
-    its phonon number and the band equations' residual.  The unit trace is a
-    weighted row added to row 0; COLAMD keeps the banded LU fill small."""
+    """Hermitian steady state x on the band |m - m'| <= band, zero outside
+    it, its m_ss, the m_ss of the band - 1 state y, and the band residual.
+    The unit trace is a weighted row added to row 0 of L, giving A.  y is
+    zero on the edge |m - m'| = band and obeys y = x + A^-1 E L y (E keeps
+    the edge rows); one step from y = x is exact to first order in the weak
+    coupling across the edge.  COLAMD keeps the banded LU fill small; the
+    full band (n_fock - 1) factorizes faster with MMD on A + A^T."""
     l_fixed, l_delta, cells = _liouvillian_parts(
         cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
         cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th, n_fock,
@@ -338,41 +341,44 @@ def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
         shape=(size, size))
     rhs = np.zeros(size, dtype=complex)
     rhs[0] = weight
-    lu = splu((l_total + trace_row).tocsc(), permc_spec="COLAMD")
+    lu = splu((l_total + trace_row).tocsc(),
+              permc_spec="COLAMD" if band < n_fock - 1 else "MMD_AT_PLUS_A")
     x = lu.solve(rhs)
+    ms = np.tile(np.arange(n_fock), 2)
+    edge = np.abs(ms[cells % dim] - ms[cells // dim]) == band
+    y = x + lu.solve(np.where(edge, l_total @ np.where(edge, 0.0, x), 0.0))
     residual = float(np.linalg.norm(l_total @ x, np.inf))
-    flat = np.zeros(dim * dim, dtype=complex)
-    flat[cells] = x
-    rho = flat.reshape((dim, dim), order="F")
-    m_ss = float(np.sum(np.tile(np.arange(n_fock), 2) * np.real(np.diag(rho))))
-    return 0.5 * (rho + rho.conjugate().T), m_ss, residual
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho.T.flat[cells] = x    # cells count rho's entries column by column
+    m_ss, m_prev = (float(np.sum(ms * v[trace_cols].real)) for v in (x, y))
+    return 0.5 * (rho + rho.conjugate().T), m_ss, m_prev, residual
 
 
 def _band_steady_state(cfg: LindbladConfig, n_fock: int):
-    """rho, m_ss, band residual and band K of the steady state at n_fock:
-    K grows from 1 until m_ss moves by at most _BAND_TOL * m_th, and stops
-    at m_max = n_fock - 1, where the band is the full Liouvillian."""
-    previous = None
-    for band in range(1, n_fock):
-        rho, m_ss, residual = _solve_band(cfg, n_fock, band)
-        if (previous is not None
-                and abs(m_ss - previous) <= _BAND_TOL * cfg.m_th):
+    """rho, m_ss, band residual and band K at n_fock, K grown as in
+    lindblad_steady_state; one band-K solve gives m_ss at K - 1 and K."""
+    for band in range(min(2, n_fock - 1), n_fock):
+        rho, m_ss, m_prev, residual = _solve_band(cfg, n_fock, band)
+        if abs(m_ss - m_prev) <= _BAND_TOL * cfg.m_th:
             break
-        previous = m_ss
     return rho, m_ss, residual, band
+
+
+def band_deviation(cfg: LindbladConfig, m_max: int) -> tuple[int, float]:
+    """Band K at Fock truncation m_max and |m_ss - m_ss(K = m_max)| / m_th."""
+    _, m_ss, _, band = _band_steady_state(cfg, m_max + 1)
+    return band, abs(m_ss - _solve_band(cfg, m_max + 1, m_max)[1]) / cfg.m_th
 
 
 def lindblad_steady_state(cfg: LindbladConfig,
                           adaptive: bool = True) -> SteadyStateResult:
     """Steady state of the quantized emitter-phonon master equation.
 
-    Solves the null-space problem of the Liouvillian on the
-    2*(m_max+1)-dimensional Hilbert space directly, with a unit-trace
-    constraint, over the band |m - m'| <= K of phonon coherences; K grows
-    from 1 until m_ss moves by at most _BAND_TOL * m_th, up to the full
-    Liouvillian at K = m_max.  With adaptive=True the Fock truncation grows
-    by 25% until m_ss changes by less than _REL_TOL, for at most
-    _MAX_ROUNDS band solves.
+    Solves L rho = 0 with unit trace on the 2*(m_max+1)-dimensional Hilbert
+    space over the band |m - m'| <= K of phonon coherences: K grows from 1
+    until m_ss moves by at most _BAND_TOL * m_th, up to the full Liouvillian
+    at K = m_max.  With adaptive=True the Fock truncation grows by 25% until
+    m_ss changes by less than _REL_TOL, for at most _MAX_ROUNDS band solves.
     """
     m_th = cfg.m_th
     m = cfg.initial_m_max()

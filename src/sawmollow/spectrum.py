@@ -70,8 +70,7 @@ class InstrumentModel:
             raise ValueError("instrument widths must be non-negative")
         hw = 0.5 * self.etalon_fwhm.rad
         if hw > 0 and hw * hw < np.finfo(float).tiny:
-            raise ValueError("etalon linewidth is too small: its half-width "
-                             "squared underflows")
+            raise ValueError("etalon half-width squared underflows")
         if self.etalon_fsr.rad <= self.etalon_fwhm.rad:
             raise ValueError("etalon FSR must exceed its linewidth")
 

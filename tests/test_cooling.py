@@ -271,7 +271,7 @@ class TestLindbladSteadyState:
         # re-solve on the full band (K = m_max) to get the marginal directly
         from sawmollow.cooling import _solve_band
         n_fock = 21
-        rho, _, _ = _solve_band(cfg, n_fock, n_fock - 1)
+        rho = _solve_band(cfg, n_fock, n_fock - 1)[0]
         marginal = np.real(np.diag(rho)[:n_fock] + np.diag(rho)[n_fock:])
         ratio = cfg.m_th / (cfg.m_th + 1.0)
         for k in range(10):
@@ -369,11 +369,23 @@ class TestLindbladBandOracle:
             delta, rabi_l, 0.0, 3.5299), cavity, temperature)
         m_max = 8  # below the thermal-tail bound: the Fock size is forced
         oracle = _dense_m_ss(cfg, m_max)
-        _, full, _ = _solve_band(cfg, m_max + 1, m_max)
+        full = _solve_band(cfg, m_max + 1, m_max)[1]
         _, adaptive, _, band = _band_steady_state(cfg, m_max + 1)
         assert 1 <= band < m_max
         assert abs(full - oracle) <= 1e-10 * cfg.m_th
         assert abs(adaptive - oracle) <= 1e-10 * cfg.m_th
+
+    @pytest.mark.parametrize("band", [2, 3])
+    def test_edge_step_gives_the_narrower_band(self, emitter, cavity, band):
+        # m_ss at band - 1, read from the band solve's LU factors, against
+        # its own solve; the red drive moves m_ss by 1e-8 m_th from K = 1 to 2.
+        from sawmollow.cooling import _solve_band
+        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(
+            -2.9, 2.0, 0.0, 3.5299), cavity, temperature=0.1)
+        n_fock = cfg.initial_m_max() + 1
+        _, _, m_prev, _ = _solve_band(cfg, n_fock, band)
+        narrower = _solve_band(cfg, n_fock, band - 1)[1]
+        assert abs(m_prev - narrower) <= 1e-11 * cfg.m_th
 
     @pytest.mark.slow
     def test_adaptive_band_matches_full_band_at_1k(self, emitter, cavity):
@@ -382,7 +394,7 @@ class TestLindbladBandOracle:
             -D_STAR, 2.0, 0.0, 3.5299), cavity, temperature=1.0)
         res = lindblad_steady_state(cfg, adaptive=False)
         assert res.m_max_used > 100 and res.band < 5
-        _, full, _ = _solve_band(cfg, res.m_max_used + 1, res.m_max_used)
+        full = _solve_band(cfg, res.m_max_used + 1, res.m_max_used)[1]
         assert abs(res.m_ss - full) <= 1e-10 * res.m_th
 
 
