@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .model import DriveConfig, EmitterParams, TWO_PI
+from .model import DomainError, DriveConfig, EmitterParams, TWO_PI
 
 _N_CHECK = 64   # points per period at which a Floquet residual is evaluated
 
@@ -165,6 +165,7 @@ def propagate(gen: BlochGenerator, initial: BlochState, t0: float, t1: float,
         raise ValueError("t1 must exceed t0")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(gen.rhs, (t0, t1), initial.as_vector(), method="RK45",
                     rtol=tol, atol=tol * 1e-2, t_eval=t_eval, dense_output=False)
     if not sol.success:
@@ -242,8 +243,8 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     s is a scalar, evaluated with Python complex arithmetic, or an array,
     over which every step is vectorized.  Returns (y0, upper, lower): the
     components (s+, s-, s_z) of the central block, and for the +k and -k
-    tails the factors (K^-1 entries, q, 1/z) of orders 1..n, from which
-    (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
+    tails the factors (K^-1 entries i00, i01, i10, i11, q_p, q_m, 1/z) of
+    orders 1..n, from which (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
     s_z = (d_z - i rabi_L m) / z give every other block.
     """
     n = (len(d) - 1) // 2
@@ -255,40 +256,38 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     rs2 = gen.drive.rabi_S.rad ** 2
     wl2 = wl * wl
     rows = d.tolist()
-
-    def reduce(k, sig, pq):
-        """K^-1, q and 1/z of order k, given the tail's P K^-1 P and P q."""
-        d0, d1, d2 = rows[n + k]
-        inv_z = 1.0 / (s + (1j * k * w + g))
-        sigma = s + (1j * k * w + 0.5 * g)
-        k00 = sigma - sig[0]
-        k01 = i_delta - sig[1]
-        k10 = i_delta - sig[2]
-        k11 = sigma + wl2 * inv_z - sig[3]
-        r0 = (d0 + d1) - pq[0]
-        r1 = (d0 - d1) - (1j * wl * d2) * inv_z - pq[1]
-        inv_det = 1.0 / (k00 * k11 - k01 * k10)
-        inv = (k11 * inv_det, -k01 * inv_det, -k10 * inv_det, k00 * inv_det)
-        q = (inv[0] * r0 + inv[1] * r1, inv[2] * r0 + inv[3] * r1)
-        return inv, q, inv_z
-
-    def tail(sign):
-        """Factors of orders sign * (1..n), and P K^-1 P, P q seen by k = 0."""
-        sig, pq = (0.0, 0.0, 0.0, 0.0), (0.0, 0.0)
-        factors = []
-        for k in range(n, 0, -1):
-            inv, q, inv_z = reduce(sign * k, sig, pq)
-            factors.append((inv, q, inv_z))
+    upper, lower = [], []
+    # Each tail runs inward carrying P K^-1 P (s0..s3) and P q (pq0, pq1);
+    # the -k tail ends at k = 0, which adds what the +k tail carried (c).
+    for factors, orders in ((upper, range(n, 0, -1)), (lower, range(-n, 1))):
+        s0 = s1 = s2 = s3 = pq0 = pq1 = 0.0
+        for k in orders:
+            if not k:
+                s0, s1, s2, s3 = s0 + c[0], s1 + c[1], s2 + c[2], s3 + c[3]
+                pq0, pq1 = pq0 + c[4], pq1 + c[5]
+            d0, d1, d2 = rows[n + k]
+            ikw = 1j * k * w
+            inv_z = 1.0 / (s + (ikw + g))
+            sigma = s + (ikw + 0.5 * g)
+            k00 = sigma - s0
+            k01 = i_delta - s1
+            k10 = i_delta - s2
+            k11 = sigma + wl2 * inv_z - s3
+            r0 = (d0 + d1) - pq0
+            r1 = (d0 - d1) - (1j * wl * d2) * inv_z - pq1
+            inv_det = 1.0 / (k00 * k11 - k01 * k10)
+            i00, i01 = k11 * inv_det, -k01 * inv_det
+            i10, i11 = -k10 * inv_det, k00 * inv_det
+            q0 = i00 * r0 + i01 * r1
+            q1 = i10 * r0 + i11 * r1
+            factors.append((i00, i01, i10, i11, q0, q1, inv_z))
             # P M P = h^2 [[M11, M10], [M01, M00]], h^2 = -rabi_S^2.
-            sig = (-rs2 * inv[3], -rs2 * inv[2], -rs2 * inv[1], -rs2 * inv[0])
-            pq = (h * q[1], h * q[0])
-        factors.reverse()
-        return factors, sig, pq
-
-    upper, sig_u, pq_u = tail(1)
-    lower, sig_l, pq_l = tail(-1)
-    _, (p0, m0), inv_z = reduce(0, [a + b for a, b in zip(sig_u, sig_l)],
-                                [a + b for a, b in zip(pq_u, pq_l)])
+            s0, s1, s2, s3 = -rs2 * i11, -rs2 * i10, -rs2 * i01, -rs2 * i00
+            pq0, pq1 = h * q1, h * q0
+        c = (s0, s1, s2, s3, pq0, pq1)
+    *_, p0, m0, inv_z = lower.pop()
+    upper.reverse()
+    lower.reverse()
     y_z = (rows[n][2] - 1j * wl * m0) * inv_z
     return (0.5 * (p0 + m0), 0.5 * (p0 - m0), y_z), upper, lower
 
@@ -312,9 +311,10 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
     Its continued fraction gives x_0, and back-substitution outward gives
     x_{+-1}, x_{+-2}, ...  The residual of the reconstructed cycle is
-    evaluated on _N_CHECK points per period, and the truncation, starting at
-    min(n_harmonics, max_harmonics), is doubled until the residual drops
-    below tol; past max_harmonics it raises :class:`ConvergenceError`.
+    evaluated on _N_CHECK points per period (a grid cached on omega_S and
+    n), and the truncation, starting at min(n_harmonics, max_harmonics), is
+    doubled until the residual drops below tol; past max_harmonics it raises
+    :class:`ConvergenceError`, and at a non-finite one (overflow) DomainError.
     """
     if gen.emitter.gamma.rad <= 0:
         raise DegenerateSystemError(
@@ -331,23 +331,23 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         d = np.zeros((2 * n + 1, 3), dtype=complex)
         d[n] = gen.inhomogeneous
         y0, upper, lower = _sambe_solve(gen, d, 0.0)
-        tails = []
-        for factors in (upper, lower):
+        rows = [y0] * (2 * n + 1)
+        for sign, factors in ((1, upper), (-1, lower)):
             p, m = y0[0] + y0[1], y0[0] - y0[1]
-            tail = []
-            for (i00, i01, i10, i11), (q_p, q_m), inv_z in factors:
+            for j, (i00, i01, i10, i11, q_p, q_m, inv_z) in enumerate(factors, 1):
                 hm, hp = h * m, h * p
                 p = q_p - (i00 * hm + i01 * hp)
                 m = q_m - (i10 * hm + i11 * hp)
                 # d_z vanishes off k = 0.
-                tail.append((0.5 * (p + m), 0.5 * (p - m),
-                             -1j * wl * m * inv_z))
-            tails.append(tail)
-        x = np.array(tails[1][::-1] + [y0] + tails[0], dtype=complex)
-        sol = FloquetSolution(gen.drive, gen.emitter, n, x, math.nan)
-        residual = _floquet_residual(gen, sol)
+                rows[n + sign * j] = (0.5 * (p + m), 0.5 * (p - m),
+                                      -1j * wl * m * inv_z)
+        x = np.array(rows, dtype=complex)
+        residual = _floquet_residual(gen, x)
         if residual <= tol:
             return FloquetSolution(gen.drive, gen.emitter, n, x, residual)
+        if not math.isfinite(residual):  # more harmonics cannot cure it
+            raise DomainError(f"harmonic balance overflows at gamma = "
+                              f"{gen.emitter.gamma.rad:.3e} rad/s")
         if 2 * n > max_harmonics:
             raise ConvergenceError(
                 f"harmonic balance not converged at n_harmonics = {n}",
@@ -355,15 +355,23 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         n *= 2
 
 
-def _floquet_residual(gen: BlochGenerator, sol: FloquetSolution) -> float:
+@lru_cache(maxsize=32)
+def _residual_grid(w: float, n: int):
+    """Shared, read-only exp(i k w t), i k w and cos(w t) of the residual."""
+    ts = np.linspace(0.0, TWO_PI / w, _N_CHECK, endpoint=False)
+    orders = np.arange(-n, n + 1)
+    grid = (np.exp(1j * np.multiply.outer(ts, orders * w)),
+            1j * orders * w, np.cos(w * ts))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _floquet_residual(gen: BlochGenerator, harmonics: np.ndarray) -> float:
     """Normalized max-norm residual of dx/dt = M x + b on a period grid."""
-    w = gen.drive.omega_S.rad
-    ts = np.linspace(0.0, gen.period, _N_CHECK, endpoint=False)
-    orders = sol.orders
-    phases = np.exp(1j * np.multiply.outer(ts, orders * w))
-    x_t = phases @ sol.harmonics
-    dx_t = phases @ ((1j * orders * w)[:, None] * sol.harmonics)
-    cosines = np.cos(w * ts)
+    phases, factors, cosines = _residual_grid(gen._omega_s, len(harmonics) // 2)
+    x_t = phases @ harmonics
+    dx_t = phases @ (factors[:, None] * harmonics)
     m_x = x_t @ gen.static_part.T + cosines[:, None] * (x_t @ gen.modulation_part.T)
     res = dx_t - m_x - gen.inhomogeneous
     scale = gen.rate_scale * max(1.0, float(np.max(np.abs(x_t))))
@@ -395,6 +403,7 @@ def periodic_fundamental(gen: BlochGenerator, n_samples: int,
     y0 = np.zeros(12, dtype=complex)
     y0[[0, 5, 10]] = 1.0
     ts = np.linspace(0.0, gen.period, n_samples + 1)
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(_augmented_rhs(gen), (0.0, gen.period), y0,
                     method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=ts)
     if not sol.success:

@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -226,9 +227,13 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
 # Shared argument plumbing
 # ---------------------------------------------------------------------------
 
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")   # a value, also -9.8e-08
+
+
 def _command(sub, name, func, help_text):
     """Parser of one subcommand, with the flags that every command takes."""
     p = sub.add_parser(name, help=help_text)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--out", required=False, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -563,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "phonon cooling of an acoustically modulated two-level "
                      "emitter"))
     parser.add_argument("--version", action="version", version=__version__)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "spectrum", cmd_spectrum, "one emission spectrum")

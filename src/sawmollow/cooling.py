@@ -28,6 +28,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
+# Loading scipy.linalg starts the worker thread of scipy's OpenBLAS, which
+# spins for about 0.1 s; first, so the spin overlaps the scipy.sparse import.
+import scipy.linalg  # noqa: F401
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 

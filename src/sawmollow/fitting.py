@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import jv
 
 from .model import DomainError, Frequency, _as_rad
 
@@ -61,6 +59,7 @@ class AbsorptionModel:
 
 
 def _auto_sidebands(x: float) -> int:
+    from scipy.special import jv
     n = max(1, math.ceil(abs(x)))
     while abs(jv(n, x)) >= 1e-5:
         n += 1
@@ -76,6 +75,7 @@ def absorption_spectrum(model: AbsorptionModel, deltas) -> np.ndarray:
 
 
 def _absorption_eval(deltas, rabi_s, linewidth, amplitude, omega_s, n_max):
+    from scipy.special import jv
     x = 2.0 * rabi_s / omega_s
     orders = np.arange(-n_max, n_max + 1)
     weights = jv(orders, x) ** 2
@@ -165,6 +165,7 @@ def fit_absorption(data, omega_S: Frequency, init: AbsorptionModel) -> FitReport
     p0 = np.array([init.rabi_S.ghz, lw0,
                    init.amplitude if init.amplitude != 1.0
                    else counts.max() * lw0 ** 2 / 4.0 / scale_y, 0.0])
+    from scipy.optimize import least_squares
     res = least_squares(residual, p0, method="lm", xtol=1e-14, ftol=1e-14,
                         max_nfev=2000)
     res.x[0] = abs(res.x[0])  # the series is even in the drive strength
@@ -219,6 +220,7 @@ def fit_lorentzian(data) -> FitReport:
         return _lorentzian_jac(p, freqs)
 
     p0 = np.array([center0, max(fwhm0, 1e-6 * scale), depth0, offset0])
+    from scipy.optimize import least_squares
     res = least_squares(residual, p0, jac=jac, method="lm", xtol=1e-14,
                         ftol=1e-14, max_nfev=2000)
     center, fwhm, depth, offset = res.x

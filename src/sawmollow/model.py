@@ -53,11 +53,11 @@ class Frequency:
     hz: float = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        _check_finite("frequency (rad/s)", self.rad)
-        if self.hz is None:
-            object.__setattr__(self, "hz", self.rad / TWO_PI)
-        else:
-            _check_finite("frequency (Hz)", self.hz)
+        # Python floats, so that no numpy scalar reaches the solver loops.
+        rad = _check_finite("frequency (rad/s)", self.rad)
+        object.__setattr__(self, "rad", rad)
+        object.__setattr__(self, "hz", rad / TWO_PI if self.hz is None
+                           else _check_finite("frequency (Hz)", self.hz))
 
     @classmethod
     def from_hz(cls, hz: float) -> "Frequency":

@@ -18,7 +18,7 @@ from sawmollow.bloch import (
     propagate,
     static_steady_state,
 )
-from sawmollow.model import DriveConfig, EmitterParams, Frequency
+from sawmollow.model import DomainError, DriveConfig, EmitterParams, Frequency
 
 
 def closed_form_rho_ee(delta, rabi, gamma):
@@ -238,6 +238,45 @@ class TestFloquet:
         with pytest.raises(ConvergenceError):
             floquet_steady_state(BlochGenerator(cfg, emitter))
         assert orders == [768]
+
+    def test_overflow_raises_domain_error_without_doubling(self, monkeypatch):
+        """A linewidth too small for double precision overflows the continued
+        fraction; more harmonics cannot cure that, so the first non-finite
+        residual raises a DomainError that names gamma."""
+        emitter = EmitterParams.from_ghz(1e-303)
+        orders = []
+        solve = bloch._sambe_solve
+
+        def recording(gen, d, s):
+            orders.append((len(d) - 1) // 2)
+            return solve(gen, d, s)
+
+        monkeypatch.setattr(bloch, "_sambe_solve", recording)
+        cfg = DriveConfig.from_ghz(-2.0, 2.0, 1.75, 3.5299)
+        with pytest.raises(DomainError, match="gamma"):
+            floquet_steady_state(BlochGenerator(cfg, emitter))
+        assert orders == [default_harmonics(cfg)]
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_cached_residual_matches_fresh_evaluation(self, emitter, n):
+        """The residual grid cached on (omega_S, n) reproduces the residual
+        evaluated from scratch bit for bit, also on a cache hit."""
+        cfg = DriveConfig.from_ghz(-1.3, 2.9, 1.75, 3.5299)
+        gen = BlochGenerator(cfg, emitter)
+        x = floquet_steady_state(gen, n_harmonics=n, tol=math.inf).harmonics
+        w = cfg.omega_S.rad
+        ts = np.linspace(0.0, gen.period, bloch._N_CHECK, endpoint=False)
+        orders = np.arange(-n, n + 1)
+        phases = np.exp(1j * np.multiply.outer(ts, orders * w))
+        x_t = phases @ x
+        dx_t = phases @ ((1j * orders * w)[:, None] * x)
+        m_x = (x_t @ gen.static_part.T
+               + np.cos(w * ts)[:, None] * (x_t @ gen.modulation_part.T))
+        res = dx_t - m_x - gen.inhomogeneous
+        fresh = (float(np.max(np.abs(res)))
+                 / (gen.rate_scale * max(1.0, float(np.max(np.abs(x_t))))))
+        for _ in range(2):
+            assert bloch._floquet_residual(gen, x) == fresh
 
     def test_gamma_zero_rejected(self, drive_resonant):
         # EmitterParams forbids gamma = 0, so bypass the constructor to

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sawmollow
 from sawmollow.cli import _json_dump, emit, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
 from sawmollow.model import KB, Frequency, TWO_PI
@@ -62,6 +66,20 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest passed" in out
         assert "FAIL" not in out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_unused_scipy_packages_unloaded(self):
+        """ODE integration, least squares and Bessel functions serve commands
+        that need them; importing the CLI must not pay for them."""
+        src = os.path.dirname(os.path.dirname(sawmollow.__file__))
+        code = ("import sys, sawmollow.cli; print(sorted(m for m in ("
+                "'scipy.integrate', 'scipy.optimize', 'scipy.special') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
 
 
 class TestSpectrumCommand:
@@ -262,15 +280,39 @@ class TestSpectrumCommand:
         """Random physics values on tiny sweeps.  Where the acoustic
         frequency and the linewidth are positive they are at least 1 GHz and
         1 MHz, so the harmonic balance converges and exit 3 cannot occur."""
-        # --flag=value throughout: argparse reads a lone "-1e-3" as a flag.
-        args = [command, "--sweep", sweep, f"--sweep-start={ends[0]!r}",
-                f"--sweep-stop={ends[1]!r}", "--sweep-points", 2]
+        # Values as separate arguments: "-1e-3" must read as a value.
+        args = [command, "--sweep", sweep, "--sweep-start", repr(ends[0]),
+                "--sweep-stop", repr(ends[1]), "--sweep-points", 2]
         values = drive + instrument if command == "spectrum-map" else drive
-        args += [f"{flag}={value!r}" for flag, value in zip(PHYSICS, values)]
+        for flag, value in zip(PHYSICS, values):
+            args += [flag, repr(value)]
         if command == "spectrum-map":
             args += ["--window-ghz", 4, "--points", 11, "--nodes", 3]
         assert_succeeds_or_exits_2(
             args, tmp_path_factory.mktemp("prop") / "x.csv")
+
+    @pytest.mark.parametrize("command, args", [
+        ("spectrum-map", ["--sweep", "delta", "--sweep-start", "-1e-3",
+                          "--sweep-stop", "-9.8e-08", "--delta-ghz", "-2.5E-1",
+                          *TINY["spectrum-map"]]),
+        ("dressed-lines", ["--delta-ghz", "-1.5e0", *TINY["dressed-lines"]]),
+        ("cooling-map", ["--delta-start", "-5e0", "--delta-stop", "-.5e-1",
+                         *TINY["cooling-map"]]),
+    ])
+    def test_negative_exponent_values_as_separate_arguments(
+            self, tmp_path, command, args):
+        assert run([command, *args, "--out", tmp_path / "x.csv"]) == 0
+
+    @pytest.mark.parametrize("gamma_mhz, code", [("1e-300", 2), ("1e-200", 0)])
+    def test_overflowing_linewidth_is_a_config_error(self, tmp_path, capsys,
+                                                     gamma_mhz, code):
+        """A linewidth too small for double precision exits 2 naming gamma,
+        without doubling the truncation; 1e-200 MHz still converges."""
+        assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
+                    "--gamma-mhz", gamma_mhz,
+                    "--out", tmp_path / "x.csv"]) == code
+        if code:
+            assert "overflows at gamma" in capsys.readouterr().err
 
     def test_truncation_past_the_cap_exits_3_quickly(self, tmp_path, capsys):
         """A modulation index of 5.7e5 asks for more harmonics than the

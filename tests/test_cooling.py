@@ -203,6 +203,22 @@ class TestCoolingMap:
                 assert cmap.rate[i, j] == pytest.approx(ref.rate, rel=1e-9)
                 assert cmap.rho_ee[i, j] == pytest.approx(rho, rel=1e-9)
 
+    def test_linspace_grid_matches_python_float_drives(self, emitter):
+        """Grid axes from linspace give the same rho_ee as drives built from
+        Python floats: no numpy scalar reaches the continued fraction."""
+        template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
+        deltas = np.linspace(-5.0, 5.0, 21) * GHZ
+        rabis = np.linspace(0.5, 5.5, 11) * GHZ
+        cmap = cooling_map(deltas, rabis, emitter, template)
+        for i, d in enumerate(deltas):
+            for j, r in enumerate(rabis):
+                cfg = DriveConfig(Frequency(float(d)), Frequency(float(r)),
+                                  template.rabi_S, template.omega_S)
+                rho = floquet_steady_state(BlochGenerator(cfg, emitter),
+                                           tol=1e-9).mean_rho_ee
+                assert abs(cmap.rho_ee[i, j] - rho) <= 1e-15
+                assert cmap.rho_ee[i, j] == rho
+
     def test_gaussian_average_changes_map_smoothly(self, emitter):
         template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
         deltas = [Frequency.from_ghz(-2.4)]

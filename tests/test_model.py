@@ -48,6 +48,14 @@ class TestFrequency:
     def test_equality_on_rad(self):
         assert Frequency.from_hz(1e9) == Frequency(Frequency.from_hz(1e9).rad)
 
+    def test_numpy_scalars_stored_as_python_floats(self):
+        """A grid value from linspace must not carry numpy scalar arithmetic
+        into the solvers."""
+        x = np.linspace(0.5, 5.5, 11)[3] * 1e9
+        for f in (Frequency(x), Frequency(x, np.float64(x / 7.0))):
+            assert type(f.rad) is float and type(f.hz) is float
+        assert Frequency(x).rad == x
+
 
 class TestThermalOccupation:
     def test_acoustic_mode_at_1_kelvin(self):
