@@ -17,7 +17,10 @@ damping gamma_S*(m_th+1) b) and reports the normalized cooling
 performance C = (m_ss - m_th)/m_th.  The coupling is weak, so the solve
 keeps only the phonon coherences rho[m, m'] with |m - m'| <= K (the band),
 raising K from 1 until m_ss moves by at most _BAND_TOL * m_th; at its cap
-m_max the band is the full Liouvillian.
+m_max the band is the full Liouvillian.  Every solve checks its own Fock
+truncation m_max: the phonon population p[m_max] of the top level, as the
+start of a geometric tail, holds the share p[m_max] * (m_max + 1 + m_ss)
+of m_ss.  Above _REL_TOL, m_max grows by 25% and the state is solved again.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from .spectrum import _diffusion_nodes, _node_sum, _node_sweep
 
 
 _TAIL_MASS = 1e-8   # thermal occupation beyond the initial Fock truncation
-_REL_TOL = 1e-4     # adaptive Fock growth stops when m_ss moves less than this
-_MAX_ROUNDS = 12    # adaptive Fock growth gives up after this many solves
+_REL_TOL = 1e-4     # largest share of m_ss left to the tail beyond m_max
+_MAX_ROUNDS = 12    # Fock growth gives up after this many solves
 _BAND_TOL = 1e-10   # band growth stops when m_ss moves less than this * m_th
 
 
@@ -224,9 +227,10 @@ class LindbladConfig:
     """Inputs of the quantized steady-state solve.
 
     The acoustic drive is absent here: the laser alone cools or heats the
-    thermal phonon mode through the sigma_z coupling.  m_max is the Fock
-    truncation; it is auto-raised until the thermal tail beyond it is
-    below _TAIL_MASS, then adaptively refined.
+    thermal phonon mode through the sigma_z coupling.  m_max is the floor
+    of the Fock truncation: the solve starts where the thermal tail beyond
+    it is below _TAIL_MASS, and grows it while the steady state's own tail
+    holds more than _REL_TOL of m_ss.
     """
 
     emitter: EmitterParams
@@ -373,32 +377,32 @@ def band_deviation(cfg: LindbladConfig, m_max: int) -> tuple[int, float]:
     return band, abs(m_ss - _solve_band(cfg, m_max + 1, m_max)[1]) / cfg.m_th
 
 
-def lindblad_steady_state(cfg: LindbladConfig,
-                          adaptive: bool = True) -> SteadyStateResult:
+def lindblad_steady_state(cfg: LindbladConfig) -> SteadyStateResult:
     """Steady state of the quantized emitter-phonon master equation.
 
     Solves L rho = 0 with unit trace on the 2*(m_max+1)-dimensional Hilbert
     space over the band |m - m'| <= K of phonon coherences: K grows from 1
     until m_ss moves by at most _BAND_TOL * m_th, up to the full Liouvillian
-    at K = m_max.  With adaptive=True the Fock truncation grows by 25% until
-    m_ss changes by less than _REL_TOL, for at most _MAX_ROUNDS band solves.
+    at K = m_max.  The result is kept when the top Fock level's population
+    p[m_max] gives a tail share p[m_max] * (m_max + 1 + m_ss) <= _REL_TOL;
+    otherwise m_max grows by 25%, for at most _MAX_ROUNDS solves.
     """
     m_th = cfg.m_th
     m = cfg.initial_m_max()
-    previous = None
     for _ in range(_MAX_ROUNDS):
         rho, m_ss, residual, band = _band_steady_state(cfg, m + 1)
-        if not adaptive or (previous is not None
-                            and abs(m_ss - previous) <= _REL_TOL * abs(m_ss)):
+        # basis index s * (m + 1) + level: the top level at m and 2m + 1
+        tail = float(rho[m, m].real + rho[-1, -1].real) * (m + 1 + m_ss)
+        if tail <= _REL_TOL:
             trace_error = abs(float(np.trace(rho).real) - 1.0)
             min_eig = float(np.linalg.eigvalsh(rho)[0])
             return SteadyStateResult(m_ss, (m_ss - m_th) / m_th, trace_error,
                                      min_eig, residual, m, band, m_th)
-        previous = m_ss
-        m = math.ceil(1.25 * m)
+        m, m_solved = math.ceil(1.25 * m), m
     raise ConvergenceError(
-        f"Fock truncation did not converge below {_REL_TOL:g} "
-        f"(last m_ss = {previous:.6g})", residual=float("nan"))
+        f"Fock tail beyond m_max = {m_solved} holds {tail:.3g} of "
+        f"m_ss = {m_ss:.6g} after {_MAX_ROUNDS} solves (limit {_REL_TOL:g})",
+        residual=tail)
 
 
 @dataclass(frozen=True)
@@ -414,27 +418,25 @@ class LindbladMap:
     meta: dict = field(default_factory=dict)
 
 
-def _performance_point(cfg: LindbladConfig, adaptive: bool, drive: DriveConfig):
+def _performance_point(cfg: LindbladConfig, drive: DriveConfig):
     """C, m_ss, trace error, minimum eigenvalue and band of cfg at a drive."""
-    res = lindblad_steady_state(replace(cfg, drive=drive), adaptive=adaptive)
+    res = lindblad_steady_state(replace(cfg, drive=drive))
     return (res.cooling_C, res.m_ss, res.trace_error, res.min_eigenvalue,
             res.band)
 
 
 def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
                             diffusion_fwhm=Frequency(0.0), n_nodes: int = 5,
-                            adaptive: bool = False,
                             jobs: int = 1) -> LindbladMap:
     """Quantized cooling performance over a (delta, rabi_L) grid.
 
     The Gaussian detuning average is applied to C and m_ss per grid point.
-    adaptive=False keeps the configured Fock truncation for every point,
-    which is what a fixed-size map wants.  jobs > 1 spreads the solves over
-    worker processes.
+    Each solve sizes its own Fock space as lindblad_steady_state does.
+    jobs > 1 spreads the solves over worker processes.
     """
     fwhm = _as_rad(diffusion_fwhm)
     offsets, weights = _diffusion_nodes(fwhm, n_nodes)
-    kernel = partial(_performance_point, cfg, adaptive)
+    kernel = partial(_performance_point, cfg)
     deltas, rabi_Ls, (c_map, m_map, trace, eig, band) = _grid_sweep(
         kernel, deltas, rabi_Ls, cfg.drive, offsets, jobs)
     # A map whose solves are all positive reports a minimum eigenvalue of 0.

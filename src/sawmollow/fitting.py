@@ -18,7 +18,7 @@ and finite differences for the Bessel series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -226,22 +226,22 @@ def fit_lorentzian(data) -> FitReport:
     center, fwhm, depth, offset = res.x
     fwhm = abs(fwhm)
     report = _report_from_lsq(res, ["center", "fwhm", "depth", "offset"])
-    params = dict(report.params)
-    params["fwhm"] = fwhm
-    message = report.message
     q_bad = (fwhm == 0.0
              or abs(depth) <= 2.0 * report.stderr.get("depth", 0.0)
              or abs(depth) < 1e-12 * max(abs(offset), 1.0))
-    if q_bad:
-        params["q"] = math.nan
-        message = "depth consistent with zero; Q undefined. " + message
-    else:
-        params["q"] = abs(center) / fwhm
-    return FitReport(params=params, stderr=report.stderr,
-                     covariance=report.covariance,
-                     residual_rms=report.residual_rms,
-                     iterations=report.iterations,
-                     converged=report.converged, message=message)
+    params = {**report.params, "fwhm": fwhm,
+              "q": math.nan if q_bad else abs(center) / fwhm}
+    note = "depth consistent with zero; Q undefined. " if q_bad else ""
+    return replace(report, params=params, message=note + report.message)
+
+
+def _linear_lstsq(design, y):
+    """Coefficients, residuals and covariance of the least-squares fit of
+    y to the columns of design."""
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = design @ beta - y
+    sigma2 = float(resid @ resid) / max(y.size - design.shape[1], 1)
+    return beta, resid, sigma2 * np.linalg.inv(design.T @ design)
 
 
 def fit_linear_through_origin(data, intercept: bool = False) -> FitReport:
@@ -257,11 +257,7 @@ def fit_linear_through_origin(data, intercept: bool = False) -> FitReport:
     else:
         design = x[:, None]
         names = ["slope"]
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = design @ beta - y
-    dof = max(x.size - len(names), 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    beta, resid, cov = _linear_lstsq(design, y)
     params = dict(zip(names, (float(b) for b in beta)))
     stderr = dict(zip(names, (float(s) for s in np.sqrt(np.diag(cov)))))
     return FitReport(params=params, stderr=stderr, covariance=cov,
@@ -281,11 +277,7 @@ def background_extrapolate(data, target: float) -> tuple[float, float]:
     design = np.column_stack([np.ones_like(v), v, v * v])
     if np.linalg.matrix_rank(design) < 3:
         raise np.linalg.LinAlgError("rank-deficient design (biases collinear)")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = design @ beta - y
-    dof = max(v.size - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    beta, _, cov = _linear_lstsq(design, y)
     probe = np.array([1.0, target, target * target])
     value = float(probe @ beta)
     stderr = math.sqrt(float(probe @ cov @ probe))

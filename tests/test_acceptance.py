@@ -318,7 +318,7 @@ def test_criterion_09b_cold_map_argmin_on_contour():
     lmap = cooling_performance_map(
         [Frequency.from_ghz(d) for d in deltas],
         [Frequency.from_ghz(r) for r in rabis], cfg,
-        diffusion_fwhm=Frequency.from_ghz(0.678), n_nodes=5, adaptive=False)
+        diffusion_fwhm=Frequency.from_ghz(0.678), n_nodes=5)
     i, j = np.unravel_index(np.argmin(lmap.cooling_C), lmap.cooling_C.shape)
     radius = math.hypot(deltas[i], rabis[j])
     dev = abs(radius - OMEGA_S_GHZ)
@@ -341,7 +341,7 @@ def test_criterion_09c_warm_map_same_contour():
     lmap = cooling_performance_map(
         [Frequency.from_ghz(d) for d in deltas],
         [Frequency.from_ghz(r) for r in rabis], cfg,
-        diffusion_fwhm=Frequency.from_ghz(0.678), n_nodes=3, adaptive=False)
+        diffusion_fwhm=Frequency.from_ghz(0.678), n_nodes=3)
     i, j = np.unravel_index(np.argmin(lmap.cooling_C), lmap.cooling_C.shape)
     radius = math.hypot(deltas[i], rabis[j])
     dev = abs(radius - OMEGA_S_GHZ)

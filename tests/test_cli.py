@@ -128,9 +128,23 @@ class TestSpectrumCommand:
         assert keys == sorted(keys)
 
     def test_bad_physics_flag_exits_2(self, tmp_path, capsys):
-        code = run(["spectrum", "--gamma-mhz", -1, "--out", tmp_path / "x.csv"])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        """The library rejects each input before any solve."""
+        out = tmp_path / "x.csv"
+        for args, message in [
+                (["spectrum", "--gamma-mhz", -1], "gamma must be positive"),
+                (["spectrum", "--gamma-mhz", 0], "gamma must be positive"),
+                (["spectrum", "--rabi-s-ghz", -1],
+                 "rabi_S must be non-negative"),
+                (["spectrum", "--etalon-mhz", -1],
+                 "instrument widths must be non-negative"),
+                (["lindblad-map", "--temp-k", 0],
+                 "temperature must be positive"),
+                (["cooling-map", "--delta-points", 0],
+                 "grid must be nonempty")]:
+            assert run([*args, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and message in err
+            assert not out.exists()
 
     def test_missing_out_exits_2(self, capsys):
         assert run(["spectrum"]) == 2
@@ -198,6 +212,8 @@ class TestSpectrumCommand:
         flags = [["--tol", 1e-9]]
         if command[0] != "lindblad-map":
             flags.append(["--jobs", 2])
+        else:
+            flags.append(["--adaptive"])    # every solve sizes its Fock space
         for flag in flags:
             with pytest.raises(SystemExit) as exc:
                 run(command + flag + ["--out", tmp_path / "x.csv"])
@@ -329,6 +345,17 @@ class TestSpectrumCommand:
                 run([command, "--n-phase", 16, "--out", tmp_path / "x.csv"])
             assert exc.value.code == 2
 
+    def test_runaway_fock_growth_exits_3(self, tmp_path, capsys):
+        """A mode heated past every Fock size the solve may try."""
+        out = tmp_path / "x.csv"
+        assert run(["lindblad-map", "--temp-k", 0.1, "--g0-mhz", 50,
+                    "--delta-start", 2, "--delta-stop", 2,
+                    "--delta-points", 1, "--rabi-start", 2.6,
+                    "--rabi-stop", 2.6, "--rabi-points", 1,
+                    "--diffusion-mhz", 0, "--out", out]) == 3
+        assert "numerical error: Fock tail" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("points = 51\nn_phase = 16\n")
@@ -449,6 +476,13 @@ class TestFitCommands:
         payload = json.loads(out.read_text())
         expected = 120.0 + 18.0 * 0.6 + 55.0 * 0.36
         assert abs(payload["value"] - expected) < 1e-9
+        # the scalar stderr is a plain row of the CSV, not a group
+        csv = tmp_path / "bg.csv"
+        assert run(["background", "--data", data, "--target", 0.6,
+                    "--out", csv]) == 0
+        rows = dict(row.split(",") for row in data_rows(csv)[1:])
+        assert rows.keys() == {"stderr", "target", "value"}
+        assert abs(float(rows["value"]) - expected) < 1e-9
 
     def test_missing_data_file_exits_4(self, tmp_path, capsys):
         code = run(["fit-linear", "--data", tmp_path / "absent.txt",
@@ -480,6 +514,18 @@ class TestConfigRoundTrip:
         second = tmp_path / "b.csv"
         assert run(["spectrum", "--config", cfg, "--out", second]) == 0
         assert data_rows(first) == data_rows(second)
+
+    def test_config_path_does_not_change_output_bytes(self, tmp_path):
+        """The same inputs by flags and by two config files."""
+        flags = ["--delta-points", 2, "--rabi-points", 2, "--nodes", 3]
+        outs = [tmp_path / f"{name}.csv" for name in ("flags", "a", "b")]
+        assert run(["cooling-map", *flags, "--out", outs[0]]) == 0
+        for out in outs[1:]:
+            cfg = tmp_path / f"{out.stem}.cfg"
+            cfg.write_text("delta-points = 2\nrabi-points = 2\nnodes = 3\n")
+            assert run(["cooling-map", "--config", cfg, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
 
 
 class TestJobsEnvironment:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sawmollow.cooling import (
     CoolingPoint,
     LindbladConfig,
     ResolutionWarning,
+    _REL_TOL,
     cooling_map,
     cooling_performance_map,
     cooling_rate_closed_form,
@@ -275,7 +277,13 @@ class TestLindbladSteadyState:
         drive = DriveConfig.from_ghz(-2.36, 2.625, 0.0, 3.5299)
         cfg = LindbladConfig(emitter, drive, cavity, temperature=0.1)
         res = lindblad_steady_state(cfg)
-        assert res.m_ss == pytest.approx(res.m_th, rel=1e-9)
+        # The thermal state on the solved levels 0..m_max_used; the levels
+        # beyond them hold 8e-8 of m_th, below the tail share _REL_TOL.
+        levels = np.arange(res.m_max_used + 1)
+        weights = (res.m_th / (res.m_th + 1.0)) ** levels
+        assert res.m_ss == pytest.approx(levels @ weights / weights.sum(),
+                                         rel=1e-9)
+        assert res.m_ss == pytest.approx(res.m_th, rel=_REL_TOL)
 
     def test_detailed_balance_phonon_marginal(self, emitter, cavity):
         """With the laser off the phonon marginal is geometric with ratio
@@ -283,8 +291,7 @@ class TestLindbladSteadyState:
         drive = DriveConfig.from_ghz(0.0, 0.0, 0.0, 3.5299)
         cfg = LindbladConfig(emitter, drive, cavity, temperature=0.1,
                              m_max=20)
-        res = lindblad_steady_state(cfg, adaptive=False)
-        # re-solve on the full band (K = m_max) to get the marginal directly
+        # the full band (K = m_max) gives the marginal directly
         from sawmollow.cooling import _solve_band
         n_fock = 21
         rho = _solve_band(cfg, n_fock, n_fock - 1)[0]
@@ -302,22 +309,35 @@ class TestLindbladSteadyState:
         assert res.min_eigenvalue > -1e-8
         assert res.residual_norm < 1e-8 * cavity.omega_S.rad
 
-    def test_truncation_refinement_stops_when_converged(self, emitter, cavity):
-        drive = DriveConfig.from_ghz(-2.36, 2.625, 0.0, 3.5299)
-        cfg = LindbladConfig(emitter, drive, cavity, temperature=0.1)
-        coarse = lindblad_steady_state(cfg, adaptive=False)
-        refined = lindblad_steady_state(cfg, adaptive=True)
-        assert refined.m_max_used >= coarse.m_max_used
-        assert refined.m_ss == pytest.approx(coarse.m_ss, rel=5e-4)
+    @staticmethod
+    def _heated(emitter, g0_mhz):
+        """Blue-detuned drive that heats a strongly coupled mode at 0.1 K."""
+        cavity = AcousticCavity(Frequency.from_ghz(3.5299), 12562.0,
+                                Frequency.from_ghz(g0_mhz / 1e3))
+        return LindbladConfig(emitter, DriveConfig.from_ghz(
+            2.0, 2.6, 0.0, 3.5299), cavity, temperature=0.1)
+
+    def test_heated_point_grows_its_fock_space(self, emitter):
+        # m_ss = 5.8 at the thermal-tail truncation m_max = 11; 15.78 in fact
+        cfg = self._heated(emitter, 30.0)
+        res = lindblad_steady_state(cfg)
+        assert res.m_max_used > cfg.initial_m_max()
+        fixed = lindblad_steady_state(replace(cfg, m_max=250))
+        assert fixed.m_max_used == 250
+        assert res.m_ss == pytest.approx(fixed.m_ss, rel=_REL_TOL)
+
+    def test_runaway_point_raises(self, emitter):
+        with pytest.raises(ConvergenceError, match="Fock tail"):
+            lindblad_steady_state(self._heated(emitter, 50.0))
 
     def test_cooling_on_red_side_heating_on_blue(self, emitter, cavity):
         d_star = math.sqrt(3.5299 ** 2 - 2.0 ** 2)
         red = lindblad_steady_state(LindbladConfig(
             emitter, DriveConfig.from_ghz(-d_star, 2.0, 0.0, 3.5299),
-            cavity, 0.1, m_max=15), adaptive=False)
+            cavity, 0.1, m_max=15))
         blue = lindblad_steady_state(LindbladConfig(
             emitter, DriveConfig.from_ghz(d_star, 2.0, 0.0, 3.5299),
-            cavity, 0.1, m_max=15), adaptive=False)
+            cavity, 0.1, m_max=15))
         assert red.cooling_C < 0
         assert blue.cooling_C > 0
 
@@ -408,7 +428,7 @@ class TestLindbladBandOracle:
         from sawmollow.cooling import _solve_band
         cfg = LindbladConfig(emitter, DriveConfig.from_ghz(
             -D_STAR, 2.0, 0.0, 3.5299), cavity, temperature=1.0)
-        res = lindblad_steady_state(cfg, adaptive=False)
+        res = lindblad_steady_state(cfg)
         assert res.m_max_used > 100 and res.band < 5
         full = _solve_band(cfg, res.m_max_used + 1, res.m_max_used)[1]
         assert abs(res.m_ss - full) <= 1e-10 * res.m_th
