@@ -218,10 +218,6 @@ class FloquetSolution:
         sz0 = self.coefficient(0)[2]
         return 0.5 * (1.0 + float(sz0.real))
 
-    def component_harmonics(self, i: int) -> np.ndarray:
-        """Harmonic coefficients of component i (0: s+, 1: s-, 2: sz)."""
-        return self.harmonics[:, i]
-
 
 def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     """Central block of (s - L)^-1 D by a matrix continued fraction.

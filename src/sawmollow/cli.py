@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .cooling import (
 from .dressed import overlay_lines, table_from_angles
 from .fitting import (
     AbsorptionModel,
-    FitReport,
     background_extrapolate,
     fit_absorption,
     fit_linear_through_origin,
@@ -191,25 +190,13 @@ def emit(rows, columns, path, fmt, meta):
             fh.write("\n")
 
 
-def _emit_report(report: FitReport | dict, path, fmt, meta):
-    if isinstance(report, FitReport):
-        payload = {
-            "params": report.params,
-            "stderr": report.stderr,
-            "covariance": [list(map(float, row)) for row in np.atleast_2d(report.covariance)],
-            "residual_rms": report.residual_rms,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "message": report.message,
-        }
-    else:
-        payload = dict(report)
-    payload["meta"] = meta
+def _emit_report(report: dict, path, fmt, meta):
+    """Write a report as key,value CSV rows (a params or stderr dict as
+    group.key rows, no covariance) or as JSON with meta added."""
     with _output(path, fmt, meta) as fh:
         if fmt == "csv":
             fh.write("key,value\n")
-            flat = dict(payload)
-            flat.pop("meta")
+            flat = dict(report)
             for group in ("params", "stderr"):
                 if isinstance(flat.get(group), dict):
                     for k, v in sorted(flat.pop(group).items()):
@@ -219,7 +206,7 @@ def _emit_report(report: FitReport | dict, path, fmt, meta):
                 v = v.translate(_ESCAPES) if isinstance(v, str) else _fmt(v)
                 fh.write(f"{k},{v}\n")
         else:
-            _json_dump(payload, fh)
+            _json_dump({**report, "meta": meta}, fh)
             fh.write("\n")
 
 
@@ -246,8 +233,7 @@ def _add_map_flags(p, nodes: int, tol: float | None = None):
     solves the harmonic balance."""
     p.add_argument("--nodes", type=int, default=nodes,
                    help="Gauss-Hermite nodes for the diffusion average")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: MOLLOW_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     if tol is not None:
         p.add_argument("--tol", type=float, default=tol,
                        help="harmonic-balance (Floquet) residual tolerance")
@@ -310,23 +296,8 @@ def _pipeline(args) -> SpectrumPipelineConfig:
         floquet_tol=args.tol)
 
 
-def _jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("MOLLOW_JOBS") or "1"
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"MOLLOW_JOBS is not an integer: {env!r}") from exc
-    if jobs < 1:
-        raise ConfigError("--jobs (or MOLLOW_JOBS) must be >= 1")
-    return jobs
-
-
 def _drive_sweep(args):
     """Swept values, their drive configs and the swept column's name."""
-    if args.sweep_points < 1:
-        raise ConfigError("--sweep-points must be >= 1")
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
     if args.sweep == "rabi-l":
         return values, [_drive(args, rabi_l=v) for v in values], "rabiL_GHz"
@@ -344,7 +315,7 @@ def _spectrum_rows(spec: Spectrum, prefix=()):
 
 def cmd_spectrum(args):
     (spec,) = spectrum_map([_drive(args)], _emitter(args), _instrument(args),
-                           _pipeline(args), jobs=_jobs(args))
+                           _pipeline(args), jobs=args.jobs)
     extra = {"rho_ee_bar": spec.meta.get("rho_ee_bar", math.nan),
              "coherent_total": spec.coherent_total}
     for f, w in zip(spec.coherent_freqs, spec.coherent_weights):
@@ -358,7 +329,7 @@ def cmd_spectrum_map(args):
     emitter = _emitter(args)
     values, sweep, col = _drive_sweep(args)
     specs = spectrum_map(sweep, emitter, _instrument(args), _pipeline(args),
-                         jobs=_jobs(args))
+                         jobs=args.jobs)
     rows = []
     for v, spec in zip(values, specs):
         rows.extend(_spectrum_rows(spec, prefix=(v,)))
@@ -400,7 +371,7 @@ def cmd_cooling_map(args):
     cmap = cooling_map(*axes, _emitter(args), template,
                        diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
                        n_nodes=args.nodes, floquet_tol=args.tol,
-                       jobs=_jobs(args))
+                       jobs=args.jobs)
     emit(_grid_rows(deltas_ghz, rabis_ghz, cmap.rate, cmap.rho_ee),
          ["delta_GHz", "rabiL_GHz", "rate_per_s", "rho_ee"],
          args.out, args.format, _metadata(args))
@@ -418,7 +389,7 @@ def cmd_lindblad_map(args):
                          m_max=args.m_max)
     lmap = cooling_performance_map(
         *axes, cfg, diffusion_fwhm=Frequency.from_ghz(args.diffusion_mhz / 1e3),
-        n_nodes=args.nodes, jobs=_jobs(args))
+        n_nodes=args.nodes, jobs=args.jobs)
     emit(_grid_rows(deltas_ghz, rabis_ghz, lmap.m_ss, lmap.cooling_C),
          ["delta_GHz", "rabiL_GHz", "m_ss", "cooling_C"],
          args.out, args.format,
@@ -439,7 +410,7 @@ def cmd_fit_absorption(args):
     if not report.converged:
         raise ConvergenceError(f"absorption fit did not converge: "
                                f"{report.message}", residual=report.residual_rms)
-    _emit_report(report, args.out, args.format, _metadata(args))
+    _emit_report(asdict(report), args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
@@ -448,14 +419,14 @@ def cmd_fit_lorentzian(args):
     if not report.converged:
         raise ConvergenceError(f"Lorentzian fit did not converge: "
                                f"{report.message}", residual=report.residual_rms)
-    _emit_report(report, args.out, args.format, _metadata(args))
+    _emit_report(asdict(report), args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
 def cmd_fit_linear(args):
     report = fit_linear_through_origin(load_two_column(args.data),
                                        intercept=args.intercept)
-    _emit_report(report, args.out, args.format, _metadata(args))
+    _emit_report(asdict(report), args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
@@ -515,8 +486,8 @@ def cmd_selftest(args):
         d = rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])
         cfg = DriveConfig.from_ghz(d, rng.uniform(0.1, 6.0),
                                    rng.uniform(0.05, 3.0), rng.uniform(1.0, 6.0))
-        a = cooling_rate_closed_form(cfg, emitter, 0.25).rate
-        b = cooling_rate_from_table(cfg, emitter, 0.25).rate
+        a = cooling_rate_closed_form(cfg, emitter, 0.25)
+        b = cooling_rate_from_table(cfg, emitter, 0.25)
         worst_rate = max(worst_rate,
                          abs(a - b) / max(abs(a), abs(b), 1e-300))
     check("closed-form rate equals table sum", worst_rate < 1e-10,
@@ -652,6 +623,7 @@ def _apply_config_file(parser, argv):
     defaults = {}
     for action in (a for a in command._actions if a.dest in raw):
         text = raw.pop(action.dest)
+        action.required = False     # the file may give a required flag
         if action.type is not None:
             try:
                 defaults[action.dest] = action.type(text)

@@ -6,9 +6,9 @@ Two analytic routes give the semiclassical cooling rate: a closed form
         ((omega_S - Omega_R)^2 Omega_R^2 + rabi_L^2 rabi_S^2) * gamma * rho_ee
 
 and the equivalent sum of phonon-number changes weighted by dipole
-strengths over the 12 doubly dressed transitions.  Negative rates remove
-phonons (cooling, red-detuned laser); the optimum sits on the Rabi
-resonance contour Omega_R = omega_S.
+strengths over the 12 doubly dressed transitions, both as a float in
+phonons per second.  Negative rates remove phonons (cooling, red-detuned
+laser); the optimum sits on the Rabi resonance contour Omega_R = omega_S.
 
 The quantized route solves d rho/dt = 0 for the Lindblad master equation
 of the two-level system coupled to a damped thermal phonon mode (jump
@@ -20,14 +20,15 @@ raising K from 1 until m_ss moves by at most _BAND_TOL * m_th; at its cap
 m_max the band is the full Liouvillian.  Every solve checks its own Fock
 truncation m_max: the phonon population p[m_max] of the top level, as the
 start of a geometric tail, holds the share p[m_max] * (m_max + 1 + m_ss)
-of m_ss.  Above _REL_TOL, m_max grows by 25% and the state is solved again.
+of m_ss.  Above _REL_TOL, m_max grows by 25% and the state is solved again,
+its band search starting at the K the last solve reached.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -62,22 +63,14 @@ class ResolutionWarning(UserWarning):
     """Sideband integration window overlaps another predicted line."""
 
 
-@dataclass(frozen=True)
-class CoolingPoint:
-    """Signed phonon rate (photons * phonons / s) at one drive condition.
+def cooling_rate_closed_form(config: DriveConfig, emitter: EmitterParams,
+                             rho_ee: float) -> float:
+    """Signed phonon rate (photons * phonons / s) of a drive whose
+    period-averaged excited population is rho_ee.
 
     rate < 0 removes phonons.  |rate| <= 2 * gamma * rho_ee always (the
     phonon change per photon is bounded by 2).
     """
-
-    drive: DriveConfig
-    rate: float
-    rho_ee: float
-
-
-def cooling_rate_closed_form(config: DriveConfig, emitter: EmitterParams,
-                             rho_ee: float) -> CoolingPoint:
-    """Closed-form rate; rho_ee is the period-averaged excited population."""
     d = config.delta.rad
     wl = config.rabi_L.rad
     ws_drive = config.rabi_S.rad
@@ -88,20 +81,18 @@ def cooling_rate_closed_form(config: DriveConfig, emitter: EmitterParams,
                           "(generalized Rabi frequency is zero)")
     numerator = wl * wl * ws_drive * ws_drive
     if numerator == 0.0:
-        rate = 0.0
-    else:
-        denom = (ws - wr) ** 2 * wr * wr + numerator
-        rate = (d / wr) * (numerator / denom) * emitter.gamma.rad * rho_ee
-    return CoolingPoint(config, rate, rho_ee)
+        return 0.0
+    denom = (ws - wr) ** 2 * wr * wr + numerator
+    return (d / wr) * (numerator / denom) * emitter.gamma.rad * rho_ee
 
 
 def cooling_rate_from_table(config: DriveConfig, emitter: EmitterParams,
-                            rho_ee: float) -> CoolingPoint:
+                            rho_ee: float) -> float:
     """Rate from the dressed transition table: sum of delta_N * weight
     over the 12 transitions, times the photon emission rate gamma*rho_ee."""
     mean_dn = sum(r.delta_n_phonon * r.dipole_weight
                   for r in transition_table(config))
-    return CoolingPoint(config, mean_dn * emitter.gamma.rad * rho_ee, rho_ee)
+    return mean_dn * emitter.gamma.rad * rho_ee
 
 
 def cooling_rate_from_spectrum(spec: Spectrum, omega_S, window) -> float:
@@ -156,26 +147,16 @@ class CoolingMap:
     excited population is recomputed at every quadrature node).
     """
 
-    deltas: np.ndarray
-    rabi_Ls: np.ndarray
     rate: np.ndarray
     rho_ee: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def point(self, i: int, j: int, template: DriveConfig) -> CoolingPoint:
-        cfg = DriveConfig(Frequency(float(self.deltas[i])),
-                          Frequency(float(self.rabi_Ls[j])),
-                          template.rabi_S, template.omega_S)
-        return CoolingPoint(cfg, float(self.rate[i, j]),
-                            float(self.rho_ee[i, j]))
 
 
 def _grid_sweep(kernel, deltas, rabi_Ls, template: DriveConfig, offsets,
                 jobs: int):
-    """Axes in rad/s and kernel(drive) at every diffusion node of every
-    (delta, rabi_L) drive built on template, one [node, i_delta, j_rabi]
-    array per returned field.  Drives run Rabi-major, so consecutive solves
-    share rabi_L and the Liouvillian parts cached on it."""
+    """kernel(drive) at every diffusion node of every (delta, rabi_L) drive
+    built on template, one [node, i_delta, j_rabi] array per returned
+    field.  Drives run Rabi-major, so consecutive solves share rabi_L and
+    the Liouvillian parts cached on it."""
     deltas = np.array([_as_rad(d) for d in np.atleast_1d(deltas)], dtype=float)
     rabi_Ls = np.array([_as_rad(r) for r in np.atleast_1d(rabi_Ls)], dtype=float)
     if deltas.size == 0 or rabi_Ls.size == 0:
@@ -183,7 +164,7 @@ def _grid_sweep(kernel, deltas, rabi_Ls, template: DriveConfig, offsets,
     drives = [DriveConfig(Frequency(d), Frequency(wl), template.rabi_S,
                           template.omega_S) for wl in rabi_Ls for d in deltas]
     results = _node_sweep(kernel, drives, offsets, jobs)
-    return deltas, rabi_Ls, np.transpose(
+    return np.transpose(
         np.reshape(results, (rabi_Ls.size, deltas.size, len(offsets), -1)))
 
 
@@ -191,7 +172,7 @@ def _rate_point(emitter: EmitterParams, floquet_tol: float, cfg: DriveConfig):
     """Closed-form rate and Floquet excited population of one drive."""
     p = floquet_steady_state(BlochGenerator(cfg, emitter),
                              tol=floquet_tol).mean_rho_ee
-    return cooling_rate_closed_form(cfg, emitter, p).rate, p
+    return cooling_rate_closed_form(cfg, emitter, p), p
 
 
 def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
@@ -205,17 +186,10 @@ def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
     average (diffusion_fwhm = 0 is one node of weight 1).  jobs > 1 spreads
     the solves over worker processes.
     """
-    fwhm = _as_rad(diffusion_fwhm)
-    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
+    offsets, weights = _diffusion_nodes(_as_rad(diffusion_fwhm), n_nodes)
     kernel = partial(_rate_point, emitter, floquet_tol)
-    deltas, rabi_Ls, (rate, rho) = _grid_sweep(kernel, deltas, rabi_Ls,
-                                               template, offsets, jobs)
-    return CoolingMap(deltas, rabi_Ls, _node_sum(weights, rate),
-                      _node_sum(weights, rho),
-                      meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
-                            "rabi_S": template.rabi_S.rad,
-                            "omega_S": template.omega_S.rad,
-                            "gamma": emitter.gamma.rad})
+    rate, rho = _grid_sweep(kernel, deltas, rabi_Ls, template, offsets, jobs)
+    return CoolingMap(_node_sum(weights, rate), _node_sum(weights, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +201,8 @@ class LindbladConfig:
     """Inputs of the quantized steady-state solve.
 
     The acoustic drive is absent here: the laser alone cools or heats the
-    thermal phonon mode through the sigma_z coupling.  m_max is the floor
+    thermal phonon mode through the sigma_z coupling, so drive.rabi_S must
+    be 0 and drive.omega_S the cavity's omega_S.  m_max is the floor
     of the Fock truncation: the solve starts where the thermal tail beyond
     it is below _TAIL_MASS, and grows it while the steady state's own tail
     holds more than _REL_TOL of m_ss.
@@ -244,6 +219,11 @@ class LindbladConfig:
             raise DomainError("temperature must be positive")
         if self.m_max < 0:
             raise DomainError("m_max must be >= 0")
+        if (self.drive.rabi_S.rad != 0.0
+                or self.drive.omega_S != self.cavity.omega_S):
+            raise DomainError("the Lindblad solve has no acoustic drive: "
+                              "drive.rabi_S must be 0, drive.omega_S the "
+                              "cavity's")
         # A temperature whose occupation underflows raises DomainError here,
         # before any solve, instead of at every point of a map.
         thermal_occupation(self.cavity.omega_S, self.temperature)
@@ -361,10 +341,10 @@ def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
     return 0.5 * (rho + rho.conjugate().T), m_ss, m_prev, residual
 
 
-def _band_steady_state(cfg: LindbladConfig, n_fock: int):
-    """rho, m_ss, band residual and band K at n_fock, K grown as in
-    lindblad_steady_state; one band-K solve gives m_ss at K - 1 and K."""
-    for band in range(min(2, n_fock - 1), n_fock):
+def _band_steady_state(cfg: LindbladConfig, n_fock: int, first_band: int = 2):
+    """rho, m_ss, band residual and band K at n_fock, K grown from
+    first_band; one band-K solve gives m_ss at K - 1 and K."""
+    for band in range(min(first_band, n_fock - 1), n_fock):
         rho, m_ss, m_prev, residual = _solve_band(cfg, n_fock, band)
         if abs(m_ss - m_prev) <= _BAND_TOL * cfg.m_th:
             break
@@ -385,12 +365,13 @@ def lindblad_steady_state(cfg: LindbladConfig) -> SteadyStateResult:
     until m_ss moves by at most _BAND_TOL * m_th, up to the full Liouvillian
     at K = m_max.  The result is kept when the top Fock level's population
     p[m_max] gives a tail share p[m_max] * (m_max + 1 + m_ss) <= _REL_TOL;
-    otherwise m_max grows by 25%, for at most _MAX_ROUNDS solves.
+    otherwise m_max grows by 25%, for at most _MAX_ROUNDS solves.  The band
+    barely changes with m_max, so each growth round starts at the last K.
     """
     m_th = cfg.m_th
-    m = cfg.initial_m_max()
+    m, band = cfg.initial_m_max(), 2
     for _ in range(_MAX_ROUNDS):
-        rho, m_ss, residual, band = _band_steady_state(cfg, m + 1)
+        rho, m_ss, residual, band = _band_steady_state(cfg, m + 1, band)
         # basis index s * (m + 1) + level: the top level at m and 2m + 1
         tail = float(rho[m, m].real + rho[-1, -1].real) * (m + 1 + m_ss)
         if tail <= _REL_TOL:
@@ -407,15 +388,14 @@ def lindblad_steady_state(cfg: LindbladConfig) -> SteadyStateResult:
 
 @dataclass(frozen=True)
 class LindbladMap:
-    """Cooling performance C on a (delta, rabi_L) grid, [i_delta, j_rabi]."""
+    """Cooling performance C on a (delta, rabi_L) grid, [i_delta, j_rabi],
+    with the worst solve diagnostics and the widest band K of the map."""
 
-    deltas: np.ndarray
-    rabi_Ls: np.ndarray
     cooling_C: np.ndarray
     m_ss: np.ndarray
     worst_trace_error: float
     worst_min_eigenvalue: float
-    meta: dict = field(default_factory=dict)
+    max_band: int
 
 
 def _performance_point(cfg: LindbladConfig, drive: DriveConfig):
@@ -434,15 +414,11 @@ def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
     Each solve sizes its own Fock space as lindblad_steady_state does.
     jobs > 1 spreads the solves over worker processes.
     """
-    fwhm = _as_rad(diffusion_fwhm)
-    offsets, weights = _diffusion_nodes(fwhm, n_nodes)
+    offsets, weights = _diffusion_nodes(_as_rad(diffusion_fwhm), n_nodes)
     kernel = partial(_performance_point, cfg)
-    deltas, rabi_Ls, (c_map, m_map, trace, eig, band) = _grid_sweep(
+    c_map, m_map, trace, eig, band = _grid_sweep(
         kernel, deltas, rabi_Ls, cfg.drive, offsets, jobs)
     # A map whose solves are all positive reports a minimum eigenvalue of 0.
-    return LindbladMap(deltas, rabi_Ls, _node_sum(weights, c_map),
-                       _node_sum(weights, m_map), float(trace.max()),
-                       min(0.0, float(eig.min())),
-                       meta={"diffusion_fwhm": fwhm, "n_nodes": len(offsets),
-                             "temperature": cfg.temperature,
-                             "m_th": cfg.m_th, "max_band": int(band.max())})
+    return LindbladMap(_node_sum(weights, c_map), _node_sum(weights, m_map),
+                       float(trace.max()), min(0.0, float(eig.min())),
+                       int(band.max()))

@@ -38,7 +38,7 @@ class MixingAngles:
 
 
 def mixing_angles(config: DriveConfig) -> MixingAngles:
-    """Dressing angles of a drive condition.
+    """Dressing angles of a drive condition, from :func:`_dressing_cosines`.
 
     theta_L = atan2(rabi_L, delta)/2 and
     theta_S = atan2(rabi_S*sin(2 theta_L), omega_S - Omega_R)/2.
@@ -46,29 +46,17 @@ def mixing_angles(config: DriveConfig) -> MixingAngles:
     resonance theta_S continues toward pi/2, which is the branch on which
     the transition table reduces to the plain Mollow triplet as rabi_S -> 0.
     """
-    d = config.delta.rad
-    wl = config.rabi_L.rad
-    if wl == 0.0 and d == 0.0:
-        return MixingAngles(math.pi / 4, _theta_s(config, math.pi / 4),
-                            degenerate=True)
-    theta_l = 0.5 * math.atan2(wl, d)
-    return MixingAngles(theta_l, _theta_s(config, theta_l))
-
-
-def _theta_s(config: DriveConfig, theta_l: float) -> float:
-    ws = config.omega_S.rad
-    wr = config.rabi_R.rad
-    coupling = config.rabi_S.rad * math.sin(2.0 * theta_l)
-    if coupling == 0.0 and ws == wr:
-        return math.pi / 4
-    return 0.5 * math.atan2(coupling, ws - wr)
+    cos2l, sin2l, cos2s, sin2s, _ = _dressing_cosines(config)
+    return MixingAngles(0.5 * math.atan2(sin2l, cos2l),
+                        0.5 * math.atan2(sin2s, cos2s),
+                        degenerate=config.rabi_R.rad == 0.0)
 
 
 def dressed_splitting(config: DriveConfig) -> Frequency:
     """Acoustic anti-crossing gap G = sqrt((omega_S - Omega_R)^2 +
     (rabi_S sin 2 theta_L)^2); the side peaks of each triplet split by 2G,
     with minimum 2*rabi_S at the Rabi resonance."""
-    return Frequency(_dressing_cosines(config)[2])
+    return Frequency(_dressing_cosines(config)[4])
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,8 @@ class TransitionRecord:
 
 
 def _dressing_cosines(config: DriveConfig):
-    """(cos 2theta_L, cos 2theta_S, gap) from Cartesian ratios.
+    """(cos 2theta_L, sin 2theta_L, cos 2theta_S, sin 2theta_S, gap) from
+    Cartesian ratios.
 
     Working with the double-angle cosines directly keeps the special points
     exact: cos 2theta_S = (omega_S - Omega_R)/G is exactly zero at the Rabi
@@ -100,20 +89,18 @@ def _dressing_cosines(config: DriveConfig):
     d = config.delta.rad
     wl = config.rabi_L.rad
     wr = config.rabi_R.rad
-    if wr == 0.0:
-        cos2l = 0.0  # degenerate undriven resonant corner: theta_L = pi/4
-        sin2l = 1.0
+    if wr == 0.0:  # degenerate undriven resonant corner: theta_L = pi/4
+        cos2l, sin2l = 0.0, 1.0
     else:
-        cos2l = d / wr
-        sin2l = wl / wr
+        cos2l, sin2l = d / wr, wl / wr
     diff = config.omega_S.rad - wr
     coupling = config.rabi_S.rad * sin2l
     gap = math.hypot(diff, coupling)
-    if gap == 0.0:
-        cos2s = 0.0  # resonant with vanishing coupling: theta_S = pi/4 limit
+    if gap == 0.0:  # resonant with vanishing coupling: theta_S = pi/4 limit
+        cos2s, sin2s = 0.0, 1.0
     else:
-        cos2s = diff / gap
-    return cos2l, cos2s, gap
+        cos2s, sin2s = diff / gap, coupling / gap
+    return cos2l, sin2l, cos2s, sin2s, gap
 
 
 def transition_table(config: DriveConfig) -> list[TransitionRecord]:
@@ -125,7 +112,7 @@ def transition_table(config: DriveConfig) -> list[TransitionRecord]:
     dynamical cancellation of the central line.  Note the sign of
     delta_n_phonon for transitions 6 and 7 flips at the Rabi resonance.
     """
-    cos2l, cos2s, gap = _dressing_cosines(config)
+    cos2l, _, cos2s, _, gap = _dressing_cosines(config)
     return _table_from_cosines(cos2l, cos2s, config.omega_S.rad, gap)
 
 

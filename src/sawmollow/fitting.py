@@ -30,17 +30,14 @@ GHZ = 2.0 * math.pi * 1e9
 
 @dataclass(frozen=True)
 class AbsorptionModel:
-    """Bessel-sideband absorption line of a modulated transition.
-
-    n_sidebands = 0 auto-truncates where |J_n| < 1e-5 (squared weight
-    1e-10) plus two guard terms.
-    """
+    """Bessel-sideband absorption line of a modulated transition, its
+    series truncated where |J_n| < 1e-5 (squared weight 1e-10) plus two
+    guard terms."""
 
     omega_S: Frequency
     rabi_S: Frequency
     linewidth: Frequency
     amplitude: float = 1.0
-    n_sidebands: int = 0
 
     def __post_init__(self):
         if self.linewidth.rad <= 0:
@@ -53,8 +50,6 @@ class AbsorptionModel:
         return 2.0 * self.rabi_S.rad / self.omega_S.rad
 
     def truncation(self) -> int:
-        if self.n_sidebands > 0:
-            return self.n_sidebands
         return _auto_sidebands(self.modulation_index)
 
 
@@ -99,8 +94,7 @@ class FitReport:
     message: str = ""
 
 
-def _report_from_lsq(res, names, scales=None, extra=None,
-                     message: str = "") -> FitReport:
+def _report_from_lsq(res, names, extra=None) -> FitReport:
     n_pts = res.fun.size
     n_par = len(names)
     dof = max(n_pts - n_par, 1)
@@ -111,19 +105,14 @@ def _report_from_lsq(res, names, scales=None, extra=None,
         cov = sigma2 * np.linalg.pinv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((n_par, n_par), np.nan)
-    if scales is not None:
-        cov = cov * np.outer(scales, scales)
-        values = res.x * scales
-    else:
-        values = res.x
-    params = dict(zip(names, (float(v) for v in values)))
+    params = dict(zip(names, (float(v) for v in res.x)))
     stderr = dict(zip(names, (float(s) for s in np.sqrt(np.abs(np.diag(cov))))))
     if extra:
         params.update(extra)
     return FitReport(params=params, stderr=stderr, covariance=cov,
                      residual_rms=math.sqrt(rss / n_pts),
                      iterations=int(res.nfev), converged=bool(res.success),
-                     message=message or res.message)
+                     message=res.message)
 
 
 def _as_xy(data):
@@ -305,7 +294,8 @@ def extinction_ratio(i_meas: float, i_ext: float,
 
 def load_two_column(path) -> np.ndarray:
     """Read two-column numeric text: comma or whitespace separated,
-    '#' comments, blank lines ignored.  Returns an (N, 2) array."""
+    '#' comments, blank lines ignored.  Returns an (N, 2) array of finite
+    values; a nan or inf value raises ValueError naming its path:line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -316,7 +306,10 @@ def load_two_column(path) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, "
                                  f"got {len(parts)}")
-            rows.append((float(parts[0]), float(parts[1])))
+            row = (float(parts[0]), float(parts[1]))
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: values must be finite")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)

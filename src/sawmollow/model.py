@@ -25,7 +25,6 @@ DEVICE_OMEGA_S_GHZ = 3.5299     # acoustic cavity resonance / 2pi
 DEVICE_Q_FACTOR = 12562.0       # acoustic cavity quality factor
 DEVICE_G0_GHZ = 1.2e-3          # single-phonon coupling / 2pi
 DEVICE_DIFFUSION_GHZ = 0.678    # inhomogeneous linewidth FWHM / 2pi
-DEVICE_ETALON_GHZ = 0.525       # etalon transmission FWHM / 2pi
 DEVICE_ETALON_FSR_GHZ = 20.0    # etalon free spectral range / 2pi
 
 

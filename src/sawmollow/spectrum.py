@@ -74,13 +74,6 @@ class InstrumentModel:
         if self.etalon_fsr.rad <= self.etalon_fwhm.rad:
             raise ValueError("etalon FSR must exceed its linewidth")
 
-    @classmethod
-    def measured(cls) -> "InstrumentModel":
-        """Calibrated values of the reference setup (678 MHz diffusion,
-        525 MHz etalon, 20 GHz FSR)."""
-        return cls(Frequency.from_ghz(0.678), Frequency.from_ghz(0.525),
-                   Frequency.from_ghz(20.0))
-
 
 def _uniform_grid(freq_window, n_freq: int) -> np.ndarray:
     lo, hi = (_as_rad(freq_window[0]), _as_rad(freq_window[1]))
@@ -139,8 +132,7 @@ def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
     intensity = _clip(intensity)
 
     rho_ee_bar = fs.mean_rho_ee
-    m_k = fs.component_harmonics(1)
-    coh_w = (m_k * fs.component_harmonics(0)[::-1]).real
+    coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
     keep = coh_w > 1e-14 * max(rho_ee_bar, 1e-300)
     meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
             "rho_ee_bar": rho_ee_bar, "min_intensity_preclip": trough}
@@ -180,6 +172,8 @@ def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
     a process pool of at most len(items) workers.  Every item runs even when
     some fail; the first failure is then re-raised with its own class and a
     note that lists where(i) and the message of every failing item i."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items))
     if workers > 1:

@@ -122,7 +122,7 @@ def two_time_correlator(gen: BlochGenerator, tau_max: float, dtau: float,
     # of <s+> with the limit-cycle <s->, whose coefficients are m_k q_k.
     orders = fs.orders
     w = gen.drive.omega_S.rad
-    m_k = fs.component_harmonics(1)
+    m_k = fs.harmonics[:, 1]
     q_k = np.array([np.mean(sp0 * np.exp(1j * k * w * t0s)) for k in orders])
     coeffs = m_k * q_k
 

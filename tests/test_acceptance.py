@@ -210,8 +210,8 @@ def test_criterion_06_closed_form_equals_table():
             rng.uniform(0.01, 5.0) * rng.choice([-1.0, 1.0]),
             rng.uniform(0.05, 6.5), rng.uniform(0.05, 3.0),
             rng.uniform(1.0, 6.0))
-        a = cooling_rate_closed_form(cfg, EMITTER, 0.37).rate
-        b = cooling_rate_from_table(cfg, EMITTER, 0.37).rate
+        a = cooling_rate_closed_form(cfg, EMITTER, 0.37)
+        b = cooling_rate_from_table(cfg, EMITTER, 0.37)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
     ok = worst < 1e-10
     assert report(6, ok, f"worst relative deviation {worst:.2e} over 10^4 "

@@ -106,6 +106,7 @@ class TestPropagate:
         x_static = static_steady_state(gen)
         assert 0.5 * (1.0 + x_static[2].real) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.slow
     def test_limit_cycle_periodicity(self, emitter, drive_resonant):
         gen = BlochGenerator(drive_resonant, emitter)
         g = emitter.gamma.rad
@@ -164,6 +165,7 @@ class TestFloquet:
         assert abs(x0[0]) < 1e-14 and abs(x0[1]) < 1e-14
         assert sol.mean_rho_ee == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.slow
     def test_period_average_matches_long_integration(self, emitter):
         cfg = DriveConfig.from_ghz(0.0, 3.53, 1.75, 3.5299)
         gen = BlochGenerator(cfg, emitter)
@@ -180,6 +182,7 @@ class TestFloquet:
         ode_avg = np.trapezoid(rho, traj.times) / (ts[-1] - ts[0])
         assert sol.mean_rho_ee == pytest.approx(ode_avg, rel=1e-6)
 
+    @pytest.mark.slow
     def test_matches_trajectory_pointwise_after_transient(self, emitter,
                                                           drive_resonant):
         gen = BlochGenerator(drive_resonant, emitter)
@@ -194,7 +197,7 @@ class TestFloquet:
 
     def test_sz_component_is_real_valued(self, emitter, drive_resonant):
         sol = floquet_steady_state(BlochGenerator(drive_resonant, emitter))
-        sz = sol.component_harmonics(2)
+        sz = sol.harmonics[:, 2]
         assert np.max(np.abs(sz - np.conj(sz[::-1]))) < 1e-13
 
     def test_harmonic_decay_supports_truncation(self, emitter, drive_resonant):

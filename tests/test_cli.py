@@ -61,6 +61,7 @@ def assert_succeeds_or_exits_2(args, out):
 
 
 class TestSelftest:
+    @pytest.mark.slow
     def test_passes(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -491,6 +492,97 @@ class TestFitCommands:
         assert "i/o error" in capsys.readouterr().err
 
 
+def _clean_data(command, noise):
+    """Rows of a well-posed data file for command, scaled by 1 + noise[i]."""
+    if command == "fit-absorption":
+        x = np.linspace(-10.0, 10.0, 41)
+        model = AbsorptionModel(Frequency.from_ghz(3.5299),
+                                Frequency.from_ghz(1.75),
+                                Frequency.from_ghz(0.678))
+        y = absorption_spectrum(model, x * GHZ)
+    elif command == "fit-lorentzian":
+        x = np.linspace(3.5299 - 2e-3, 3.5299 + 2e-3, 41)
+        y = 1.0 - 0.7 * 1e-8 / ((x - 3.5299) ** 2 + 1e-8)
+    elif command == "fit-linear":
+        x = np.linspace(0.1, 0.5, 41)
+        y = 4.77 * x + 0.05
+    else:
+        x = np.linspace(-1.0, 1.0, 41)
+        y = 120.0 + 18.0 * x + 55.0 * x * x
+    return [[a, b * (1.0 + e)] for a, b, e in zip(x, y, noise)]
+
+
+class TestDataFiles:
+    """The data commands read a two-column file; a value that is not finite
+    is a configuration error that names its line."""
+
+    EXTRA = {"fit-absorption": [], "fit-lorentzian": [], "fit-linear": [],
+             "background": ["--target", 0.6]}
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", list(EXTRA))
+    def test_non_finite_row_exits_2_naming_its_line(self, tmp_path, capsys,
+                                                    command, bad):
+        rows = _clean_data(command, np.zeros(41))
+        rows[4][1] = bad
+        data, out = tmp_path / "d.txt", tmp_path / "o.csv"
+        data.write_text("# x y\n" + "\n".join(f"{a} {b}" for a, b in rows))
+        assert run([command, "--data", data, *self.EXTRA[command],
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert f"{data}:6: values must be finite" in err
+        assert not out.exists()
+
+    @given(command=st.sampled_from(["fit-absorption", "fit-lorentzian",
+                                    "fit-linear", "background"]),
+           intercept=st.booleans(),
+           noise=st.lists(st.floats(-0.01, 0.01), min_size=41, max_size=41),
+           bad=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1),
+                                  st.sampled_from(["nan", "NaN", "inf",
+                                                   "-inf", "1e999"])),
+                        max_size=3),
+           fmt=st.sampled_from(["csv", "json"]),
+           in_config=st.sets(st.sampled_from(["data", "format", "intercept",
+                                              "target"])))
+    @settings(max_examples=60, deadline=None)
+    def test_data_commands_succeed_or_exit_2(self, tmp_path_factory, command,
+                                             intercept, noise, bad, fmt,
+                                             in_config):
+        """Any data file, option set and config-file split: exit 0 with an
+        output file, or exit 2 naming the first non-finite line and writing
+        nothing; never a traceback."""
+        tmp = tmp_path_factory.mktemp("data")
+        rows = _clean_data(command, noise)
+        for i, col, value in bad:
+            rows[i][col] = value
+        data, out = tmp / "d.txt", tmp / "o"
+        data.write_text("\n".join(f"{a},{b}" for a, b in rows) + "\n")
+        options = {"data": data, "format": fmt}
+        if command == "background":
+            options["target"] = 0.6
+        if command == "fit-linear" and intercept:
+            options["intercept"] = "true"
+        flags = [command]
+        for key, value in options.items():
+            if key not in in_config:
+                flags += [f"--{key}"] + ([] if key == "intercept" else [value])
+        config = {k: v for k, v in options.items() if k in in_config}
+        if config:
+            (tmp / "run.cfg").write_text(
+                "".join(f"{k} = {v}\n" for k, v in config.items()))
+            flags += ["--config", tmp / "run.cfg"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([*flags, "--out", out])
+        if bad:
+            line = min(i for i, _, _ in bad) + 1
+            assert code == 2 and not out.exists()
+            assert f"{data}:{line}: values must be finite" in err.getvalue()
+        else:
+            assert code == 0 and out.exists()
+
+
 class TestConfigRoundTrip:
     def test_resolved_metadata_reproduces_the_run(self, tmp_path):
         """Reparsing the resolved-config header as a config file yields an
@@ -550,25 +642,16 @@ class TestJobsEnvironment:
         assert run(args + ["--jobs", 2, "--out", parallel]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_env_fallback_parsed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOLLOW_JOBS", "2")
-        out = tmp_path / "m.csv"
-        assert run(["spectrum-map", "--sweep", "delta", "--sweep-start", 0,
-                    "--sweep-stop", 1, "--sweep-points", 2, "--rabi-l-ghz", 2,
-                    "--window-ghz", 3, "--points", 31, "--out", out]) == 0
-
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
-        assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
-                    "--jobs", 0, "--out", tmp_path / "x.csv"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_invalid_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MOLLOW_JOBS", "many")
-        code = run(["spectrum-map", "--sweep", "delta", "--sweep-start", 0,
-                    "--sweep-stop", 1, "--sweep-points", 2, "--rabi-l-ghz", 2,
-                    "--window-ghz", 3, "--points", 31,
-                    "--out", tmp_path / "m.csv"])
-        assert code == 2
+        """The library rejects jobs < 1 before any solve."""
+        out = tmp_path / "x.csv"
+        for jobs in (0, -1):
+            assert run(["cooling-map", "--delta-points", 2, "--rabi-points", 1,
+                        "--jobs", jobs, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error")
+            assert f"jobs must be >= 1, got {jobs}" in err
+            assert not out.exists()
 
 
 class TestOutputEscaping:

@@ -11,7 +11,6 @@ from sawmollow.bloch import (
 )
 from sawmollow.cooling import (
     AcousticCavity,
-    CoolingPoint,
     LindbladConfig,
     ResolutionWarning,
     _REL_TOL,
@@ -43,13 +42,13 @@ def cavity():
 class TestSemiclassicalRates:
     def test_zero_detuning_gives_zero_rate(self, emitter):
         cfg = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
-        assert cooling_rate_closed_form(cfg, emitter, 0.3).rate == 0.0
+        assert cooling_rate_closed_form(cfg, emitter, 0.3) == 0.0
 
     def test_sign_flips_with_detuning(self, emitter):
         plus = cooling_rate_closed_form(
-            DriveConfig.from_ghz(1.2, 2.0, 1.75, 3.5299), emitter, 0.3).rate
+            DriveConfig.from_ghz(1.2, 2.0, 1.75, 3.5299), emitter, 0.3)
         minus = cooling_rate_closed_form(
-            DriveConfig.from_ghz(-1.2, 2.0, 1.75, 3.5299), emitter, 0.3).rate
+            DriveConfig.from_ghz(-1.2, 2.0, 1.75, 3.5299), emitter, 0.3)
         assert plus == pytest.approx(-minus, rel=1e-14)
         assert minus < 0  # red-detuned laser removes phonons
 
@@ -60,7 +59,7 @@ class TestSemiclassicalRates:
 
     def test_no_acoustic_drive_means_no_phonon_exchange(self, emitter):
         cfg = DriveConfig.from_ghz(-1.0, 2.0, 0.0, 3.5299)
-        assert cooling_rate_from_table(cfg, emitter, 0.3).rate == \
+        assert cooling_rate_from_table(cfg, emitter, 0.3) == \
             pytest.approx(0.0, abs=1e-30)
 
     def test_closed_form_equals_table_sum(self, emitter, rng):
@@ -70,8 +69,8 @@ class TestSemiclassicalRates:
                 rng.uniform(0.01, 5.0) * rng.choice([-1.0, 1.0]),
                 rng.uniform(0.05, 6.5), rng.uniform(0.05, 3.0),
                 rng.uniform(1.0, 6.0))
-            a = cooling_rate_closed_form(cfg, emitter, 0.31).rate
-            b = cooling_rate_from_table(cfg, emitter, 0.31).rate
+            a = cooling_rate_closed_form(cfg, emitter, 0.31)
+            b = cooling_rate_from_table(cfg, emitter, 0.31)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
         assert worst < 1e-10
 
@@ -81,14 +80,14 @@ class TestSemiclassicalRates:
             cfg = DriveConfig.from_ghz(
                 rng.uniform(-5, 5), rng.uniform(0.01, 6.0),
                 rng.uniform(0.0, 3.0), rng.uniform(1.0, 6.0))
-            point = cooling_rate_closed_form(cfg, emitter, rho)
-            assert abs(point.rate) <= 2.0 * emitter.gamma.rad * rho + 1e-30
+            rate = cooling_rate_closed_form(cfg, emitter, rho)
+            assert abs(rate) <= 2.0 * emitter.gamma.rad * rho + 1e-30
 
     def test_symmetric_angles_cancel(self, emitter):
         """theta_L = theta_S = pi/4: detuning factor kills the rate even
         though the acoustic mixing is maximal."""
         cfg = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
-        assert cooling_rate_from_table(cfg, emitter, 0.4).rate == 0.0
+        assert cooling_rate_from_table(cfg, emitter, 0.4) == 0.0
 
     def _rate_argmax(self, emitter, rabi_l, rabi_s):
         deltas = np.linspace(-4.25, -0.25, 81)
@@ -96,7 +95,7 @@ class TestSemiclassicalRates:
         for d in deltas:
             cfg = DriveConfig.from_ghz(d, rabi_l, rabi_s, 3.5299)
             rho = floquet_steady_state(BlochGenerator(cfg, emitter)).mean_rho_ee
-            rates.append(abs(cooling_rate_closed_form(cfg, emitter, rho).rate))
+            rates.append(abs(cooling_rate_closed_form(cfg, emitter, rho)))
         return deltas[int(np.argmax(rates))]
 
     def test_weak_drive_rate_peaks_on_the_rabi_resonance(self, emitter):
@@ -134,7 +133,7 @@ class TestRateFromSpectrum:
             extracted = cooling_rate_from_spectrum(
                 spec, cfg.omega_S, Frequency.from_ghz(0.8))
             rho = floquet_steady_state(BlochGenerator(cfg, emitter)).mean_rho_ee
-            reference = cooling_rate_closed_form(cfg, emitter, rho).rate
+            reference = cooling_rate_closed_form(cfg, emitter, rho)
             assert math.copysign(1.0, extracted) == math.copysign(1.0, reference)
 
     def test_intensity_weighted_identity_on_resolved_spectra(self):
@@ -202,7 +201,7 @@ class TestCoolingMap:
                 cfg = DriveConfig(d, r, template.rabi_S, template.omega_S)
                 rho = floquet_steady_state(BlochGenerator(cfg, emitter)).mean_rho_ee
                 ref = cooling_rate_closed_form(cfg, emitter, rho)
-                assert cmap.rate[i, j] == pytest.approx(ref.rate, rel=1e-9)
+                assert cmap.rate[i, j] == pytest.approx(ref, rel=1e-9)
                 assert cmap.rho_ee[i, j] == pytest.approx(rho, rel=1e-9)
 
     def test_linspace_grid_matches_python_float_drives(self, emitter):
@@ -252,14 +251,6 @@ class TestCoolingMap:
         (note,) = err.value.__notes__
         assert note.startswith("2 of 2 sweep point(s) failed")
         assert "index 0" in note and "index 1" in note
-
-    def test_point_accessor(self, emitter):
-        template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
-        cmap = cooling_map([Frequency.from_ghz(-2.0)], [Frequency.from_ghz(2.0)],
-                           emitter, template, diffusion_fwhm=Frequency(0.0))
-        point = cmap.point(0, 0, template)
-        assert isinstance(point, CoolingPoint)
-        assert point.drive.delta.ghz == pytest.approx(-2.0)
 
 
 class TestLindbladSteadyState:
@@ -326,6 +317,23 @@ class TestLindbladSteadyState:
         assert fixed.m_max_used == 250
         assert res.m_ss == pytest.approx(fixed.m_ss, rel=_REL_TOL)
 
+    def test_growth_rounds_resume_the_band_search(self, emitter, monkeypatch):
+        """Each Fock growth round starts at the band K the last one reached:
+        the heated point factorizes at most 16 times (44 when every round
+        restarted at K = 2) and its m_ss is that of a search from K = 2 at
+        the final m_max."""
+        from sawmollow import cooling
+        factorize = cooling.splu
+        calls = []
+        monkeypatch.setattr(cooling, "splu", lambda *a, **k: calls.append(1)
+                            or factorize(*a, **k))
+        cfg = self._heated(emitter, 30.0)
+        res = lindblad_steady_state(cfg)
+        assert len(calls) <= 16
+        _, m_ss, _, band = cooling._band_steady_state(cfg, res.m_max_used + 1)
+        assert (res.m_ss, res.band) == (m_ss, band)
+        assert res.m_ss == pytest.approx(15.779118104672879, rel=1e-9)
+
     def test_runaway_point_raises(self, emitter):
         with pytest.raises(ConvergenceError, match="Fock tail"):
             lindblad_steady_state(self._heated(emitter, 50.0))
@@ -354,6 +362,15 @@ class TestLindbladSteadyState:
             LindbladConfig(emitter, drive, cavity, temperature=1.0, m_max=-1)
         with pytest.raises(DomainError, match="temperature too low"):
             LindbladConfig(emitter, drive, cavity, temperature=1e-5)
+
+    def test_acoustic_drive_rejected(self, emitter, cavity):
+        """The master equation has no acoustic drive term, so a drive that
+        sets one, or a SAW frequency off the cavity's, is refused rather
+        than ignored."""
+        for rabi_s, omega_s in [(1.75, 3.5299), (0.25, 3.5299), (0.0, 2.0)]:
+            drive = DriveConfig.from_ghz(-2.0, 2.909, rabi_s, omega_s)
+            with pytest.raises(DomainError, match="rabi_S|omega_S"):
+                LindbladConfig(emitter, drive, cavity, temperature=0.1)
 
 
 def _dense_m_ss(cfg: LindbladConfig, m_max: int) -> float:
@@ -445,7 +462,7 @@ class TestPerformanceMap:
         for i, d in enumerate(deltas):
             drive = DriveConfig(d, rabis[0], template.rabi_S, template.omega_S)
             rho = floquet_steady_state(BlochGenerator(drive, emitter)).mean_rho_ee
-            semi = cooling_rate_closed_form(drive, emitter, rho).rate
+            semi = cooling_rate_closed_form(drive, emitter, rho)
             assert math.copysign(1.0, lmap.cooling_C[i, 0]) == \
                 math.copysign(1.0, semi)
 
@@ -461,5 +478,5 @@ class TestPerformanceMap:
         assert np.array_equal(maps[0].m_ss, maps[1].m_ss)
         assert maps[0].worst_trace_error == maps[1].worst_trace_error
         assert maps[0].worst_min_eigenvalue == maps[1].worst_min_eigenvalue
-        assert maps[0].meta["max_band"] == maps[1].meta["max_band"]
-        assert 2 <= maps[0].meta["max_band"] < 10
+        assert maps[0].max_band == maps[1].max_band
+        assert 2 <= maps[0].max_band < 10

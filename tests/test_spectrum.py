@@ -164,6 +164,7 @@ class TestEmissionSpectrum:
         side = spec.integrate(-7.9 * GHZ - w, -7.9 * GHZ + w)
         assert central / side == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.slow
     def test_incoherent_integral_matches_population(self, emitter):
         """Wide-window integral of the incoherent part plus the coherent
         weight recovers the excited population."""
