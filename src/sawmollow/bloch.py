@@ -17,8 +17,9 @@ cycle.  Three routes into it live here:
 * :func:`propagate` -- adaptive direct integration (transients, oracles);
 * :func:`floquet_steady_state` -- harmonic balance: insert
   x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
-  and solve for the harmonics by a matrix continued fraction
-  (:func:`_sambe_solve`, shared with the spectrum module's resolvent);
+  solve for the harmonics by a matrix continued fraction (:func:`_sambe_solve`,
+  shared with the spectrum module's resolvent), and judge them by the
+  residual of those same equations, applied forward;
 * :func:`monodromy` -- fundamental matrix over one period (stability);
   :func:`periodic_fundamental`, its sampled form, is the backbone of the
   time-domain correlator oracle in tests/correlator_oracle.py.
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .model import DomainError, DriveConfig, EmitterParams, TWO_PI
 
-_N_CHECK = 64   # points per period at which a Floquet residual is evaluated
+_MAX_HARMONICS = 768   # truncation order past which harmonic balance gives up
 
 
 class IntegrationError(RuntimeError):
@@ -186,12 +186,11 @@ class FloquetSolution:
     """Harmonic coefficients x_k of the limit cycle x(t) = sum_k x_k e^{ik w t}.
 
     harmonics has shape (2*n_harmonics + 1, 3); row j holds the coefficient
-    of order k = j - n_harmonics.  residual is the normalized equation
-    residual of the reconstructed cycle, checked on a time grid.
+    of order k = j - n_harmonics.  residual bounds the normalized equation
+    residual |dx/dt - M x - b| / rate_scale of the cycle at every time.
     """
 
     drive: DriveConfig
-    emitter: EmitterParams
     n_harmonics: int
     harmonics: np.ndarray
     residual: float
@@ -291,12 +290,15 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
 def default_harmonics(drive: DriveConfig) -> int:
     """Truncation order: modulation index 2*rabi_S/omega_S plus drive mixing."""
     w = drive.omega_S.rad
-    return math.ceil(2.0 * drive.rabi_S.rad / w + drive.rabi_L.rad / w) + 8
+    order = 2.0 * drive.rabi_S.rad / w + drive.rabi_L.rad / w
+    if not math.isfinite(order):
+        raise DomainError(f"omega_S = {drive.omega_S.ghz:.3e} GHz is too "
+                          "small for harmonic balance")
+    return math.ceil(order) + 8
 
 
 def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
-                         tol: float = 1e-10,
-                         max_harmonics: int = 768) -> FloquetSolution:
+                         tol: float = 1e-10) -> FloquetSolution:
     """Limit cycle of the modulated Bloch equations by harmonic balance.
 
     Inserting x(t) = sum_k x_k e^{ik w t} into the equations couples
@@ -306,11 +308,10 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
 
     that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
     Its continued fraction gives x_0, and back-substitution outward gives
-    x_{+-1}, x_{+-2}, ...  The residual of the reconstructed cycle is
-    evaluated on _N_CHECK points per period (a grid cached on omega_S and
-    n), and the truncation, starting at min(n_harmonics, max_harmonics), is
-    doubled until the residual drops below tol; past max_harmonics it raises
-    :class:`ConvergenceError`, and at a non-finite one (overflow) DomainError.
+    x_{+-1}, x_{+-2}, ...  The truncation, from min(n_harmonics,
+    _MAX_HARMONICS), doubles until the residual of these equations
+    (:func:`_floquet_residual`) is <= tol; past _MAX_HARMONICS it raises
+    :class:`ConvergenceError`, at a non-finite (overflowing) one DomainError.
     """
     if gen.emitter.gamma.rad <= 0:
         raise DegenerateSystemError(
@@ -322,7 +323,7 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
 
     h = -1j * gen.drive.rabi_S.rad
     wl = gen.drive.rabi_L.rad
-    n = min(n_harmonics, max_harmonics)
+    n = min(n_harmonics, _MAX_HARMONICS)
     while True:
         d = np.zeros((2 * n + 1, 3), dtype=complex)
         d[n] = gen.inhomogeneous
@@ -340,38 +341,29 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         x = np.array(rows, dtype=complex)
         residual = _floquet_residual(gen, x)
         if residual <= tol:
-            return FloquetSolution(gen.drive, gen.emitter, n, x, residual)
+            return FloquetSolution(gen.drive, n, x, residual)
         if not math.isfinite(residual):  # more harmonics cannot cure it
             raise DomainError(f"harmonic balance overflows at gamma = "
                               f"{gen.emitter.gamma.rad:.3e} rad/s")
-        if 2 * n > max_harmonics:
+        if 2 * n > _MAX_HARMONICS:
             raise ConvergenceError(
                 f"harmonic balance not converged at n_harmonics = {n}",
                 residual=residual)
         n *= 2
 
 
-@lru_cache(maxsize=32)
-def _residual_grid(w: float, n: int):
-    """Shared, read-only exp(i k w t), i k w and cos(w t) of the residual."""
-    ts = np.linspace(0.0, TWO_PI / w, _N_CHECK, endpoint=False)
-    orders = np.arange(-n, n + 1)
-    grid = (np.exp(1j * np.multiply.outer(ts, orders * w)),
-            1j * orders * w, np.cos(w * ts))
-    for a in grid:
-        a.flags.writeable = False
-    return grid
-
-
 def _floquet_residual(gen: BlochGenerator, harmonics: np.ndarray) -> float:
-    """Normalized max-norm residual of dx/dt = M x + b on a period grid."""
-    phases, factors, cosines = _residual_grid(gen._omega_s, len(harmonics) // 2)
-    x_t = phases @ harmonics
-    dx_t = phases @ (factors[:, None] * harmonics)
-    m_x = x_t @ gen.static_part.T + cosines[:, None] * (x_t @ gen.modulation_part.T)
-    res = dx_t - m_x - gen.inhomogeneous
-    scale = gen.rate_scale * max(1.0, float(np.max(np.abs(x_t))))
-    return float(np.max(np.abs(res))) / scale
+    """max_i sum_k |r_k,i| / rate_scale over the harmonic-balance residuals
+    r_k = (i k w - A) x_k - (B/2)(x_{k-1} + x_{k+1}) - b delta_k0, |k| <= n+1;
+    as dx/dt - M x - b = sum_k r_k e^{ik w t}, it bounds that at every t."""
+    n = len(harmonics) // 2
+    x = np.zeros((2 * n + 5, 3), dtype=complex)   # x_k = 0 for |k| > n
+    x[2:-2] = harmonics
+    ikw = 1j * gen._omega_s * np.arange(-n - 1, n + 2)
+    r = (ikw[:, None] * x[1:-1] - x[1:-1] @ gen.static_part.T
+         - (x[:-2] + x[2:]) @ (0.5 * gen.modulation_part.T))
+    r[n + 1] -= gen.inhomogeneous
+    return float(np.abs(r).sum(axis=0).max()) / gen.rate_scale
 
 
 def _augmented_rhs(gen: BlochGenerator):

@@ -49,7 +49,8 @@ from .model import (
     _as_rad,
     thermal_occupation,
 )
-from .bloch import BlochGenerator, ConvergenceError, floquet_steady_state
+from .bloch import (BlochGenerator, ConvergenceError, DegenerateSystemError,
+                    floquet_steady_state)
 from .spectrum import _diffusion_nodes, _node_sum, _node_sweep
 
 
@@ -224,9 +225,13 @@ class LindbladConfig:
             raise DomainError("the Lindblad solve has no acoustic drive: "
                               "drive.rabi_S must be 0, drive.omega_S the "
                               "cavity's")
-        # A temperature whose occupation underflows raises DomainError here,
-        # before any solve, instead of at every point of a map.
-        thermal_occupation(self.cavity.omega_S, self.temperature)
+        # A temperature whose occupation underflows, or is too large for the
+        # thermal tail to decay, raises DomainError here, before any solve,
+        # instead of at every point of a map.
+        m_th = thermal_occupation(self.cavity.omega_S, self.temperature)
+        if not m_th / (m_th + 1.0) < 1.0:
+            raise DomainError(f"temperature {self.temperature:.3e} K: thermal "
+                              "occupation too large for a Fock truncation")
 
     @property
     def m_th(self) -> float:
@@ -328,8 +333,11 @@ def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
         shape=(size, size))
     rhs = np.zeros(size, dtype=complex)
     rhs[0] = weight
-    lu = splu((l_total + trace_row).tocsc(),
-              permc_spec="COLAMD" if band < n_fock - 1 else "MMD_AT_PLUS_A")
+    try:
+        lu = splu((l_total + trace_row).tocsc(), permc_spec="COLAMD"
+                  if band < n_fock - 1 else "MMD_AT_PLUS_A")
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise DegenerateSystemError(f"Lindblad steady state: {exc}") from None
     x = lu.solve(rhs)
     ms = np.tile(np.arange(n_fock), 2)
     edge = np.abs(ms[cells % dim] - ms[cells // dim]) == band

@@ -295,7 +295,8 @@ def extinction_ratio(i_meas: float, i_ext: float,
 def load_two_column(path) -> np.ndarray:
     """Read two-column numeric text: comma or whitespace separated,
     '#' comments, blank lines ignored.  Returns an (N, 2) array of finite
-    values; a nan or inf value raises ValueError naming its path:line."""
+    values; a value that is not a finite number raises ValueError naming
+    its path:line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -306,7 +307,10 @@ def load_two_column(path) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, "
                                  f"got {len(parts)}")
-            row = (float(parts[0]), float(parts[1]))
+            try:
+                row = (float(parts[0]), float(parts[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"{path}:{lineno}: values must be finite")
             rows.append(row)

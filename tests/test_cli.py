@@ -357,6 +357,29 @@ class TestSpectrumCommand:
         assert "numerical error: Fock tail" in capsys.readouterr().err
         assert not out.exists()
 
+    ONE_POINT = ["--delta-points", 1, "--rabi-points", 1, "--nodes", 3]
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["cooling-map", "--omega-s-ghz", "1e-320", *ONE_POINT], 2,
+         "config error: omega_S = 1.000e-320 GHz is too small"),
+        (["spectrum", "--omega-s-ghz", "1e-320", "--nodes", 3], 2,
+         "config error: omega_S = 1.000e-320 GHz is too small"),
+        (["lindblad-map", "--temp-k", "1e17", *ONE_POINT], 2,
+         "config error: temperature 1.000e+17 K"),
+        (["lindblad-map", "--g0-mhz", "1e300", *ONE_POINT], 3,
+         "numerical error: Lindblad steady state"),
+    ], ids=["tiny-saw-map", "tiny-saw-spectrum", "hot-mode", "singular"])
+    def test_extreme_values_exit_with_a_message(self, tmp_path, capsys, args,
+                                                code, message):
+        """An omega_S whose truncation order is not finite, or an occupation
+        too large for a Fock truncation, is a configuration error; a
+        coupling that leaves the Liouvillian singular is a numerical
+        error.  Neither writes a file."""
+        out = tmp_path / "x.csv"
+        assert run([*args, "--out", out]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("points = 51\nn_phase = 16\n")
@@ -513,13 +536,13 @@ def _clean_data(command, noise):
 
 
 class TestDataFiles:
-    """The data commands read a two-column file; a value that is not finite
-    is a configuration error that names its line."""
+    """The data commands read a two-column file; a value that is not a
+    finite number is a configuration error that names its line."""
 
     EXTRA = {"fit-absorption": [], "fit-lorentzian": [], "fit-linear": [],
              "background": ["--target", 0.6]}
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
     @pytest.mark.parametrize("command", list(EXTRA))
     def test_non_finite_row_exits_2_naming_its_line(self, tmp_path, capsys,
                                                     command, bad):
@@ -531,7 +554,9 @@ class TestDataFiles:
                     "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error")
-        assert f"{data}:6: values must be finite" in err
+        reason = ("could not convert string to float: 'abc'" if bad == "abc"
+                  else "values must be finite")
+        assert f"{data}:6: {reason}" in err
         assert not out.exists()
 
     @given(command=st.sampled_from(["fit-absorption", "fit-lorentzian",
