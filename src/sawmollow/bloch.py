@@ -313,6 +313,8 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     (:func:`_floquet_residual`) is <= tol; past _MAX_HARMONICS it raises
     :class:`ConvergenceError`, at a non-finite (overflowing) one DomainError.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if gen.emitter.gamma.rad <= 0:
         raise DegenerateSystemError(
             "gamma = 0 leaves the limit cycle undetermined")

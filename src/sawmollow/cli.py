@@ -144,7 +144,7 @@ def _json_dump(obj, out, indent=0):
         out.write(str(int(obj)))
     else:
         v = float(obj)
-        out.write('"nan"' if math.isnan(v) else _fmt(v))
+        out.write(_fmt(v) if math.isfinite(v) else f'"{_fmt(v)}"')
 
 
 def _metadata(args, extra=None) -> dict:

@@ -13,15 +13,18 @@ laser); the optimum sits on the Rabi resonance contour Omega_R = omega_S.
 The quantized route solves d rho/dt = 0 for the Lindblad master equation
 of the two-level system coupled to a damped thermal phonon mode (jump
 operators: spontaneous emission, thermal pumping gamma_S*m_th b+, and
-damping gamma_S*(m_th+1) b) and reports the normalized cooling
-performance C = (m_ss - m_th)/m_th.  The coupling is weak, so the solve
-keeps only the phonon coherences rho[m, m'] with |m - m'| <= K (the band),
-raising K from 1 until m_ss moves by at most _BAND_TOL * m_th; at its cap
-m_max the band is the full Liouvillian.  Every solve checks its own Fock
-truncation m_max: the phonon population p[m_max] of the top level, as the
-start of a geometric tail, holds the share p[m_max] * (m_max + 1 + m_ss)
-of m_ss.  Above _REL_TOL, m_max grows by 25% and the state is solved again,
-its band search starting at the K the last solve reached.
+damping gamma_S*(m_th+1) b) and reports the normalized cooling performance
+C = (m_ss - m_th)/m_th.  The coupling is weak, so the solve keeps only the
+phonon coherences rho[m, m'] with |m - m'| <= K (the band), raising K from
+1 until m_ss moves by at most _BAND_TOL * m_th; at its cap m_max the band
+is the full Liouvillian.  The band operator is written from the master
+equation's matrix elements on the band cells, each term moving m or m' by
+at most one, and cached per (rabi_L, Fock size, K): a detuning changes
+only its diagonal.  Every solve checks its own Fock truncation m_max: the
+phonon population p[m_max] of the top level, as the start of a geometric
+tail, holds the share p[m_max] * (m_max + 1 + m_ss) of m_ss.  Above
+_REL_TOL, m_max grows by 25% and the state is solved again, its band
+search starting at the K the last solve reached.
 """
 
 from __future__ import annotations
@@ -257,10 +260,7 @@ class SteadyStateResult:
     band: int
     m_th: float
 
-    def __post_init__(self):
-        if self.trace_error > 1e-6:
-            raise ConvergenceError("steady-state trace error out of range",
-                                   residual=self.trace_error)
+    def __post_init__(self):   # _solve_band holds the trace to 1e-6
         if self.min_eigenvalue < -1e-6:
             raise ConvergenceError("steady state is far from positive",
                                    residual=-self.min_eigenvalue)
@@ -268,48 +268,51 @@ class SteadyStateResult:
 
 @lru_cache(maxsize=16)
 def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
-                       gamma_s: float, m_th: float, n_fock: int, band: int):
-    """Sparse Liouvillian on the band |m - m'| <= band as (delta-independent
-    part, delta coefficient), and the column-major cells of rho it acts on."""
-    sz = sp.csr_matrix(np.diag([1.0, -1.0]))
-    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sm = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    ident_s = sp.identity(2, format="csr")
-    b = sp.diags(np.sqrt(np.arange(1.0, n_fock)), 1, format="csr")
-    ident_f = sp.identity(n_fock, format="csr")
+                       gamma_s: float, m_th: float, nf: int, k: int):
+    """L at delta = 0 on the band cells rho[(s, m), (t, n)], |m - n| <= k
+    (s = 0 excited), as CSC with zero trace-row slots; its diagonal's slots
+    and delta coefficients i (t - s), the trace-row slots, the cells' phonon
+    numbers if diagonal (else 0), edge mask and places in rho.T.flat."""
+    t, n, s, d = (a.ravel() for a in np.meshgrid(
+        range(2), range(nf), range(2), range(-k, k + 1), indexing="ij"))
+    valid = (n + d >= 0) & (n + d < nf)
+    t, n, s, m = t[valid], n[valid], s[valid], (n + d)[valid]
+    size, flat = m.size, (t * nf + n) * 2 * nf + s * nf + m   # ascending
 
-    h_fixed = (0.5 * wl * sp.kron(sx, ident_f)
-               + ws * sp.kron(ident_s, sp.diags(np.arange(float(n_fock))))
-               + 0.5 * g0 * sp.kron(sz, b + b.T)).tocsr()
-    h_delta = (-0.5) * sp.kron(sz, ident_f).tocsr()  # multiplied by delta
+    def cell(s2, m2, t2, n2):   # index of a cell, -1 outside the band
+        flat2 = (t2 * nf + n2) * 2 * nf + s2 * nf + m2
+        i = np.minimum(np.searchsorted(flat, flat2), size - 1)
+        valid = (np.minimum(m2, n2) >= 0) & (np.maximum(m2, n2) < nf)
+        return np.where(valid & (flat[i] == flat2), i, -1)
 
-    jumps = [math.sqrt(gamma) * sp.kron(sm, ident_f),
-             math.sqrt(gamma_s * m_th) * sp.kron(ident_s, b.T),
-             math.sqrt(gamma_s * (m_th + 1.0)) * sp.kron(ident_s, b)]
-
-    dim = 2 * n_fock
-    ident = sp.identity(dim, format="csr")
-    ms = np.tile(np.arange(n_fock), 2)
-    cells = np.flatnonzero(
-        (np.abs(ms[:, None] - ms[None, :]) <= band).ravel(order="F"))
-    index = np.full(dim * dim, -1)
-    index[cells] = np.arange(cells.size)
-
-    def sandwich(left, right):
-        """rho -> left @ rho @ right, restricted to the band."""
-        term = sp.kron(right.T, left, format="coo")
-        rows, cols = index[term.row], index[term.col]
-        keep = (rows >= 0) & (cols >= 0)
-        return sp.csr_matrix((term.data[keep], (rows[keep], cols[keep])),
-                             shape=(cells.size, cells.size))
-
-    cdc = sum((c.conjugate().T @ c).tocsr() for c in jumps)
-    l_fixed = (sandwich(-1j * h_fixed - 0.5 * cdc, ident)
-               + sandwich(ident, 1j * h_fixed - 0.5 * cdc))
-    for c in jumps:
-        l_fixed = l_fixed + sandwich(c, c.conjugate().T)
-    l_delta = sandwich(-1j * h_delta, ident) + sandwich(ident, 1j * h_delta)
-    return l_fixed.tocsr(), l_delta.tocsr(), cells
+    down, up = gamma_s * (m_th + 1.0), gamma_s * m_th   # rates of b, b+
+    bbd = np.append(np.arange(1.0, nf), 0.0)   # b b+ with b truncated at nf
+    decay = gamma * (2 - s - t) + down * (m + n) + up * (bbd[m] + bbd[n])
+    diag = -1j * ws * (m - n) - 0.5 * decay   # 2 - s - t: excited count
+    zs, zt = 0.5j * g0 * (1 - 2 * s), 0.5j * g0 * (1 - 2 * t)
+    # -i [H, rho] off the diagonal (laser, coupling), then the three jumps
+    terms = [(1 - s, m, t, n, np.full(size, -0.5j * wl)),
+             (s, m, 1 - t, n, np.full(size, 0.5j * wl)),
+             (s, m + 1, t, n, -zs * np.sqrt(m + 1.0)),
+             (s, m - 1, t, n, -zs * np.sqrt(m)),
+             (s, m, t, n + 1, zt * np.sqrt(n + 1.0)),
+             (s, m, t, n - 1, zt * np.sqrt(n)),
+             (0 * s, m, 0 * t, n, gamma * s * t),
+             (s, m + 1, t, n + 1, down * np.sqrt((m + 1.0) * (n + 1.0))),
+             (s, m - 1, t, n - 1, up * np.sqrt(1.0 * m * n))]
+    source = np.array([cell(*term[:4]) for term in terms])
+    value = np.array([term[4] for term in terms])
+    keep = (source >= 0) & (value != 0)
+    trace = np.flatnonzero((s == t) & (m == n))   # one per column
+    rows = np.concatenate([np.arange(size), 0 * trace, np.nonzero(keep)[1]])
+    cols = np.concatenate([np.arange(size), trace, source[keep]])
+    vals = np.concatenate([diag, 0.0 * trace, value[keep]])
+    key, slot = np.unique(cols * size + rows, return_inverse=True)
+    data = np.bincount(slot, vals.real) + 1j * np.bincount(slot, vals.imag)
+    op = sp.csc_matrix((data, key % size, np.searchsorted(
+        key, np.arange(size + 1) * size)), shape=(size, size))
+    return (op, slot[:size], 1j * (t - s), slot[size:size + 2 * nf],
+            np.where((s == t) & (m == n), m, 0), np.abs(m - n) == k, flat)
 
 
 def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
@@ -320,33 +323,34 @@ def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
     the edge rows); one step from y = x is exact to first order in the weak
     coupling across the edge.  COLAMD keeps the banded LU fill small; the
     full band (n_fock - 1) factorizes faster with MMD on A + A^T."""
-    l_fixed, l_delta, cells = _liouvillian_parts(
+    op, diag, detuning, trace, number, edge, cells = _liouvillian_parts(
         cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
         cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th, n_fock,
         band)
-    l_total = (l_fixed + cfg.drive.delta.rad * l_delta).tocsr()
-    dim, size = 2 * n_fock, cells.size
-    weight = float(np.mean(np.abs(l_total.data)))
-    trace_cols = np.searchsorted(cells, np.arange(dim) * (dim + 1))
-    trace_row = sp.csr_matrix(
-        (np.full(dim, weight), (np.zeros(dim, dtype=int), trace_cols)),
-        shape=(size, size))
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = weight
+    l_total = op.copy()    # the cached operator stays at delta = 0
+    l_total.data[diag] += cfg.drive.delta.rad * detuning
+    # The mean |entry| of L; a power-of-two scale keeps its sum finite.
+    mag = np.abs(l_total.data)
+    scale = 2.0 ** -math.frexp(mag.max())[1]
+    weight = np.sum(mag * scale) / np.count_nonzero(mag) / scale
+    a = l_total.copy()
+    a.data[trace] += weight
     try:
-        lu = splu((l_total + trace_row).tocsc(), permc_spec="COLAMD"
-                  if band < n_fock - 1 else "MMD_AT_PLUS_A")
+        lu = splu(a, permc_spec="COLAMD" if band < n_fock - 1
+                  else "MMD_AT_PLUS_A")
     except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
         raise DegenerateSystemError(f"Lindblad steady state: {exc}") from None
-    x = lu.solve(rhs)
-    ms = np.tile(np.arange(n_fock), 2)
-    edge = np.abs(ms[cells % dim] - ms[cells // dim]) == band
-    y = x + lu.solve(np.where(edge, l_total @ np.where(edge, 0.0, x), 0.0))
-    residual = float(np.linalg.norm(l_total @ x, np.inf))
-    rho = np.zeros((dim, dim), dtype=complex)
+    x = lu.solve(weight * (np.arange(a.shape[0]) == 0))   # the unit trace
+    step = lu.solve(np.where(edge, l_total @ np.where(edge, 0.0, x), 0.0))
+    rho = np.zeros((2 * n_fock, 2 * n_fock), dtype=complex)
     rho.T.flat[cells] = x    # cells count rho's entries column by column
-    m_ss, m_prev = (float(np.sum(ms * v[trace_cols].real)) for v in (x, y))
-    return 0.5 * (rho + rho.conjugate().T), m_ss, m_prev, residual
+    if not (np.isfinite(x).all() and np.isfinite(step).all()
+            and abs(np.trace(rho).real - 1.0) <= 1e-6):
+        raise DegenerateSystemError("Lindblad steady state: the solve is not "
+                                    "finite or has lost its unit trace")
+    return (0.5 * (rho + rho.conjugate().T), float(number @ x.real),
+            float(number @ (x + step).real),
+            float(np.linalg.norm(l_total @ x, np.inf)))
 
 
 def _band_steady_state(cfg: LindbladConfig, n_fock: int, first_band: int = 2):
@@ -366,16 +370,9 @@ def band_deviation(cfg: LindbladConfig, m_max: int) -> tuple[int, float]:
 
 
 def lindblad_steady_state(cfg: LindbladConfig) -> SteadyStateResult:
-    """Steady state of the quantized emitter-phonon master equation.
-
-    Solves L rho = 0 with unit trace on the 2*(m_max+1)-dimensional Hilbert
-    space over the band |m - m'| <= K of phonon coherences: K grows from 1
-    until m_ss moves by at most _BAND_TOL * m_th, up to the full Liouvillian
-    at K = m_max.  The result is kept when the top Fock level's population
-    p[m_max] gives a tail share p[m_max] * (m_max + 1 + m_ss) <= _REL_TOL;
-    otherwise m_max grows by 25%, for at most _MAX_ROUNDS solves.  The band
-    barely changes with m_max, so each growth round starts at the last K.
-    """
+    """Steady state of the quantized emitter-phonon master equation, with
+    the band K and the Fock truncation m_max grown as the module docstring
+    says; K barely changes with m_max, so each round starts at the last K."""
     m_th = cfg.m_th
     m, band = cfg.initial_m_max(), 2
     for _ in range(_MAX_ROUNDS):

@@ -118,6 +118,18 @@ class TestSpectrumCommand:
         meta = out.read_text()
         assert "rabi_l_ghz = 2" in meta
 
+    def test_json_writes_non_finite_values_as_strings(self, tmp_path):
+        """--tol inf is accepted; the JSON output stays strict JSON."""
+        out = tmp_path / "map.json"
+        assert run(["cooling-map", "--tol", "inf", "--delta-points", 2,
+                    "--rabi-points", 1, "--nodes", 3, "--format", "json",
+                    "--out", out]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["meta"]["tol"] == "inf"
+
     def test_json_format_parses_with_sorted_keys(self, tmp_path):
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--rabi-l-ghz", 2.0, "--window-ghz", 4,
@@ -369,16 +381,58 @@ class TestSpectrumCommand:
         (["lindblad-map", "--g0-mhz", "1e300", *ONE_POINT], 3,
          "numerical error: Lindblad steady state"),
     ], ids=["tiny-saw-map", "tiny-saw-spectrum", "hot-mode", "singular"])
-    def test_extreme_values_exit_with_a_message(self, tmp_path, capsys, args,
-                                                code, message):
+    def test_extreme_values_exit_with_a_message(self, tmp_path, capsys,
+                                                recwarn, args, code, message):
         """An omega_S whose truncation order is not finite, or an occupation
         too large for a Fock truncation, is a configuration error; a
         coupling that leaves the Liouvillian singular is a numerical
-        error.  Neither writes a file."""
+        error.  Neither writes a file, nor raises a numpy warning."""
         out = tmp_path / "x.csv"
         assert run([*args, "--out", out]) == code
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Warning" not in err and not recwarn.list
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["cooling-map", *ONE_POINT], ["spectrum", "--nodes", 3]],
+        ids=["cooling-map", "spectrum"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys, command, tol):
+        """A --tol that no residual can meet is refused before any harmonic
+        balance runs to its cap."""
+        out = tmp_path / "x.csv"
+        assert run([*command, f"--tol={tol}", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: tol must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, codes", [
+        pytest.param(flag, value, codes, id=f"{flag[2:]}={value}")
+        for flag, value, codes in [
+            *(("--g0-mhz", g0, (3,))
+              for g0 in ("1e50", "1e120", "1e150", "1e200", "1e300")),
+            ("--q", "1e300", (0,)),
+            ("--gamma-mhz", "1e-300", (0,)),
+            ("--gamma-mhz", "1e300", (0,)),
+            ("--q", "1e-250", (0, 3))]])   # condition number near 1e250
+    def test_extreme_lindblad_inputs(self, tmp_path, capsys, recwarn, flag,
+                                     value, codes):
+        """Extreme couplings, quality factors and linewidths end quickly:
+        with a result, or with exit 3 and a message; never with a numpy
+        warning.  A linewidth of 1e300 MHz leaves the mode thermal."""
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code = run(["lindblad-map", flag, value, *self.ONE_POINT,
+                    "--out", out])
+        assert time.perf_counter() - start < 10.0
+        assert code in codes
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") if code else not err
+        assert "Warning" not in err and not recwarn.list
+        assert out.exists() == (code == 0)
+        if (flag, value) == ("--gamma-mhz", "1e300"):
+            assert abs(float(data_rows(out)[1].split(",")[3])) < 1e-6
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -373,10 +373,10 @@ class TestLindbladSteadyState:
                 LindbladConfig(emitter, drive, cavity, temperature=0.1)
 
 
-def _dense_m_ss(cfg: LindbladConfig, m_max: int) -> float:
-    """m_ss of the master equation built densely from numpy kron in the
-    commutator form, with the trace condition replacing the (0, 0)
-    population equation, solved by dense LU."""
+def _dense_liouvillian(cfg: LindbladConfig, m_max: int) -> np.ndarray:
+    """The master equation's Liouvillian on column-major vec(rho), built
+    densely from numpy kron in the commutator form (basis s * (m_max + 1)
+    + m, s = 0 excited)."""
     n = m_max + 1
     b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     sz = np.diag([1.0, -1.0])
@@ -397,12 +397,21 @@ def _dense_m_ss(cfg: LindbladConfig, m_max: int) -> float:
         cdc = c.conj().T @ c
         liou += (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
                  - 0.5 * np.kron(cdc.T, ident))
+    return liou
+
+
+def _dense_m_ss(cfg: LindbladConfig, m_max: int) -> float:
+    """m_ss of the dense Liouvillian, with the trace condition replacing
+    the (0, 0) population equation, solved by dense LU."""
+    n = m_max + 1
+    b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    liou = _dense_liouvillian(cfg, m_max)
     scale = np.abs(liou).max()
-    liou[0] = scale * ident.ravel(order="F")
+    liou[0] = scale * np.eye(2 * n).ravel(order="F")
     rhs = np.zeros(liou.shape[0], dtype=complex)
     rhs[0] = scale
     rho = np.linalg.solve(liou, rhs).reshape((2 * n, 2 * n), order="F")
-    return float(np.real(np.trace(np.kron(i2, b.T @ b) @ rho)))
+    return float(np.real(np.trace(np.kron(np.eye(2), b.T @ b) @ rho)))
 
 
 D_STAR = math.sqrt(3.5299 ** 2 - 2.0 ** 2)   # Rabi resonance at rabi_L = 2
@@ -427,6 +436,33 @@ class TestLindbladBandOracle:
         assert 1 <= band < m_max
         assert abs(full - oracle) <= 1e-10 * cfg.m_th
         assert abs(adaptive - oracle) <= 1e-10 * cfg.m_th
+
+    @pytest.mark.parametrize("temperature", [0.1, 1.0])
+    @pytest.mark.parametrize("n_fock, band", [(3, 1), (3, 2), (9, 1), (9, 2),
+                                              (9, 8)])
+    def test_band_operator_matches_dense_liouvillian(
+            self, emitter, temperature, n_fock, band):
+        """The band operator, at a detuning, equals the dense Liouvillian
+        restricted to the band cells, entry by entry, including the rows of
+        the truncated top Fock level."""
+        from sawmollow.cooling import _liouvillian_parts
+        cavity = AcousticCavity(Frequency.from_ghz(3.5299), 12562.0,
+                                Frequency.from_ghz(0.03))
+        cfg = LindbladConfig(emitter, DriveConfig.from_ghz(
+            -2.9, 2.0, 0.0, 3.5299), cavity, temperature)
+        op, diag, detuning, *_, cells = _liouvillian_parts(
+            cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
+            cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th,
+            n_fock, band)
+        band_op = op.copy()
+        band_op.data[diag] += cfg.drive.delta.rad * detuning
+        levels = np.tile(np.arange(n_fock), 2)
+        in_band = np.abs(levels[:, None] - levels[None, :]) <= band
+        expected = np.flatnonzero(in_band.ravel(order="F"))
+        assert np.array_equal(cells, expected)
+        dense = _dense_liouvillian(cfg, n_fock - 1)[np.ix_(cells, cells)]
+        worst = np.abs(band_op.toarray() - dense).max()
+        assert worst <= 1e-13 * np.abs(dense).max()
 
     @pytest.mark.parametrize("band", [2, 3])
     def test_edge_step_gives_the_narrower_band(self, emitter, cavity, band):
