@@ -15,7 +15,7 @@ constants, and solver tolerances in its header.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
+import json
 import math
 import re
 import sys
@@ -54,6 +54,7 @@ from .fitting import (
     load_two_column,
 )
 from .model import (
+    GHZ,
     HBAR,
     KB,
     DEVICE_DIFFUSION_GHZ,
@@ -80,15 +81,23 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
 
-GHZ = 2.0 * math.pi * 1e9
-
 
 class ConfigError(ValueError):
     """Bad command-line or config-file input."""
 
 
+# Control characters (C0, DEL, C1, line/paragraph separators) are escaped
+# in written CSV strings, so no value can break a header line or a row.
+_ESCAPES = {c: f"\\u{c:04x}"
+            for c in [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
+
+
 def _fmt(x) -> str:
-    """Locale-independent number formatting with full double precision."""
+    """A value as locale-independent text: full double precision, escaped
+    control characters."""
+    if isinstance(x, str):
+        return x.translate(_ESCAPES)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -101,50 +110,18 @@ def _fmt(x) -> str:
     return format(v, ".17g")
 
 
-# Control characters (C0, DEL, C1, line/paragraph separators) are escaped
-# in written strings, so no value can break a header line or a JSON string.
-_ESCAPES = {c: f"\\u{c:04x}"
-            for c in [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]}
-_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
-_JSON_ESCAPES = {**_ESCAPES, ord('"'): '\\"', ord("\\"): "\\\\"}
-
-
-def _json_dump(obj, out, indent=0):
-    """Minimal JSON writer: sorted keys, 17-significant-digit floats."""
-    pad = "  " * indent
+def _plain(obj):
+    """obj with numpy values as Python ones and every non-finite float as
+    its _fmt string, so that the strict JSON encoder takes it."""
     if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        keys = sorted(obj, key=str)
-        for i, k in enumerate(keys):
-            out.write(f'{pad}  "{str(k).translate(_JSON_ESCAPES)}": ')
-            _json_dump(obj[k], out, indent + 1)
-            out.write(",\n" if i < len(keys) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[")
-        for i, v in enumerate(seq):
-            _json_dump(v, out, indent)
-            if i < len(seq) - 1:
-                out.write(", ")
-        out.write("]")
-    elif isinstance(obj, str):
-        out.write('"' + obj.translate(_JSON_ESCAPES) + '"')
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    else:
-        v = float(obj)
-        out.write(_fmt(v) if math.isfinite(v) else f'"{_fmt(v)}"')
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt(obj)
+    return obj
 
 
 def _metadata(args, extra=None) -> dict:
@@ -160,54 +137,43 @@ def _metadata(args, extra=None) -> dict:
     return meta
 
 
-@contextlib.contextmanager
-def _output(path, fmt, meta):
-    """path opened for writing, headed by '# key = value' metadata in CSV."""
+def _report_rows(report: dict) -> list:
+    """key,value rows of a report: its params and stderr dicts first, as
+    group.key rows, then its other entries but the covariance."""
+    groups = [g for g in ("params", "stderr")
+              if isinstance(report.get(g), dict)]
+    rows = [(f"{g}.{k}", v) for g in groups
+            for k, v in sorted(report[g].items())]
+    return rows + sorted(item for item in report.items()
+                         if item[0] not in (*groups, "covariance"))
+
+
+def emit(rows, columns, path, fmt, meta):
+    """Write records as CSV (metadata in '#' header lines) or JSON.
+
+    rows may instead be a report dict, written as key,value CSV rows (see
+    _report_rows) or as JSON with meta added.  Non-finite numbers are
+    written as nan, inf and -inf, in JSON as strings.
+    """
+    if isinstance(rows, dict):
+        payload = {**rows, "meta": meta}
+        rows, columns = _report_rows(rows), ("key", "value")
+    else:
+        rows = list(rows)
+        payload = {"meta": meta, "columns": columns, "rows": rows}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "csv":
                 for key, v in sorted(meta.items()):
-                    v = v if isinstance(v, str) else _fmt(v)
-                    fh.write(f"# {key} = {v}".translate(_ESCAPES) + "\n")
-            yield fh
+                    fh.write(f"# {key} = {_fmt(v)}\n")
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                json.dump(_plain(payload), fh, sort_keys=True, allow_nan=False)
+                fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def emit(rows, columns, path, fmt, meta):
-    """Write records as CSV (metadata in '#' header lines) or JSON."""
-    with _output(path, fmt, meta) as fh:
-        if fmt == "csv":
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            payload = {"meta": meta,
-                       "columns": list(columns),
-                       "rows": [[(None if (isinstance(v, float) and math.isnan(v)) else v)
-                                 for v in row] for row in rows]}
-            _json_dump(payload, fh)
-            fh.write("\n")
-
-
-def _emit_report(report: dict, path, fmt, meta):
-    """Write a report as key,value CSV rows (a params or stderr dict as
-    group.key rows, no covariance) or as JSON with meta added."""
-    with _output(path, fmt, meta) as fh:
-        if fmt == "csv":
-            fh.write("key,value\n")
-            flat = dict(report)
-            for group in ("params", "stderr"):
-                if isinstance(flat.get(group), dict):
-                    for k, v in sorted(flat.pop(group).items()):
-                        fh.write(f"{group}.{k},{_fmt(v)}\n")
-            flat.pop("covariance", None)
-            for k, v in sorted(flat.items()):
-                v = v.translate(_ESCAPES) if isinstance(v, str) else _fmt(v)
-                fh.write(f"{k},{v}\n")
-        else:
-            _json_dump({**report, "meta": meta}, fh)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +246,7 @@ def _drive(args, delta=None, rabi_l=None) -> DriveConfig:
         args.rabi_s_ghz, args.omega_s_ghz)
 
 
-def _instrument(args) -> InstrumentModel | None:
-    if args.diffusion_mhz == 0.0 and args.etalon_mhz == 0.0:
-        return None
+def _instrument(args) -> InstrumentModel:
     return InstrumentModel(Frequency.from_ghz(args.diffusion_mhz / 1e3),
                            Frequency.from_ghz(args.etalon_mhz / 1e3),
                            Frequency.from_ghz(args.fsr_ghz))
@@ -410,7 +374,7 @@ def cmd_fit_absorption(args):
     if not report.converged:
         raise ConvergenceError(f"absorption fit did not converge: "
                                f"{report.message}", residual=report.residual_rms)
-    _emit_report(asdict(report), args.out, args.format, _metadata(args))
+    emit(asdict(report), None, args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
@@ -419,22 +383,22 @@ def cmd_fit_lorentzian(args):
     if not report.converged:
         raise ConvergenceError(f"Lorentzian fit did not converge: "
                                f"{report.message}", residual=report.residual_rms)
-    _emit_report(asdict(report), args.out, args.format, _metadata(args))
+    emit(asdict(report), None, args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
 def cmd_fit_linear(args):
     report = fit_linear_through_origin(load_two_column(args.data),
                                        intercept=args.intercept)
-    _emit_report(asdict(report), args.out, args.format, _metadata(args))
+    emit(asdict(report), None, args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
 def cmd_background(args):
     value, stderr = background_extrapolate(load_two_column(args.data),
                                            args.target)
-    _emit_report({"value": value, "stderr": stderr, "target": args.target},
-                 args.out, args.format, _metadata(args))
+    emit({"value": value, "stderr": stderr, "target": args.target}, None,
+         args.out, args.format, _metadata(args))
     return EXIT_OK
 
 
@@ -588,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two-column file: bias_V, counts")
     p.add_argument("--target", type=float, required=True)
 
-    _command(sub, "selftest", cmd_selftest, "run the quick invariant suite")
+    sub.add_parser("selftest", help="run the quick invariant suite"
+                   ).set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -652,8 +617,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        needs_out = args.func is not cmd_selftest
-        if needs_out and not args.out:
+        if "out" in args and not args.out:
             raise ConfigError("--out is required for this command")
         return args.func(args)
     except (ConvergenceError, IntegrationError, DegenerateSystemError) as exc:

@@ -43,6 +43,7 @@ from scipy.sparse.linalg import splu
 
 from .dressed import transition_table
 from .model import (
+    GHZ,
     AcousticCavity,
     DomainError,
     DriveConfig,
@@ -124,9 +125,9 @@ def cooling_rate_from_spectrum(spec: Spectrum, omega_S, window) -> float:
             near = [o for o in others if abs(o - center) < 1.25 * half]
             if near:
                 warnings.warn(
-                    f"predicted line(s) at {[f'{o / (2 * math.pi * 1e9):.3f}' for o in near]} GHz "
-                    f"fall inside the sideband window at "
-                    f"{center / (2 * math.pi * 1e9):.3f} GHz",
+                    f"predicted line(s) at {[f'{o / GHZ:.3f}' for o in near]} "
+                    f"GHz fall inside the sideband window at "
+                    f"{center / GHZ:.3f} GHz",
                     ResolutionWarning, stacklevel=2)
 
     def windowed(center: float) -> float:

@@ -23,9 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DomainError, Frequency, _as_rad
-
-GHZ = 2.0 * math.pi * 1e9
+from .model import GHZ, DomainError, Frequency, _as_rad
 
 
 @dataclass(frozen=True)

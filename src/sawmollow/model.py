@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+GHZ = TWO_PI * 1e9     # rad/s per GHz
 
 # CODATA 2018 exact SI values, recorded in output metadata for reproducibility.
 HBAR = 1.054571817e-34  # J s
@@ -204,7 +205,7 @@ class Spectrum:
 
     @property
     def freqs_ghz(self) -> np.ndarray:
-        return self.freqs / (TWO_PI * 1e9)
+        return self.freqs / GHZ
 
     @property
     def coherent_total(self) -> float:
@@ -223,13 +224,6 @@ class Spectrum:
             csel = (self.coherent_freqs >= lo_rad) & (self.coherent_freqs <= hi_rad)
             total += float(np.sum(self.coherent_weights[csel]))
         return total
-
-    def with_intensity(self, intensity, meta_update=None) -> "Spectrum":
-        meta = dict(self.meta)
-        if meta_update:
-            meta.update(meta_update)
-        return Spectrum(self.freqs, intensity, self.drive,
-                        self.coherent_freqs, self.coherent_weights, meta)
 
 
 def thermal_occupation(omega_S, temperature: float) -> float:

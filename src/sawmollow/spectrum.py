@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .bloch import BlochGenerator, _sambe_solve, floquet_steady_state
-from .model import DriveConfig, EmitterParams, Frequency, Spectrum, TWO_PI, _as_rad
+from .model import GHZ, DriveConfig, EmitterParams, Frequency, Spectrum, _as_rad
 
 
 class GridMismatchError(ValueError):
@@ -264,7 +264,7 @@ def _lorentzian(nu: np.ndarray, fwhm: float) -> np.ndarray:
 def _check_etalon_window(window: float, model: InstrumentModel) -> None:
     if window > model.etalon_fsr.rad * (1.0 + 1e-12):
         raise AliasingError(
-            f"window {window / TWO_PI / 1e9:.3f} GHz exceeds the etalon free "
+            f"window {window / GHZ:.3f} GHz exceeds the etalon free "
             f"spectral range {model.etalon_fsr.ghz:.3f} GHz")
 
 
@@ -280,7 +280,7 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
     fwhm = model.etalon_fwhm.rad
     _check_etalon_window(float(spec.freqs[-1] - spec.freqs[0]), model)
     if fwhm == 0.0:
-        return spec.with_intensity(spec.intensity, {"etalon_fwhm": 0.0})
+        return spec
 
     freqs = spec.freqs
     n = freqs.size
@@ -301,10 +301,7 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
         col = _lorentzian(freqs - nu0, fwhm)
         out += weight * col / (w @ col)
 
-    meta = dict(spec.meta)
-    meta.update({"etalon_fwhm": fwhm,
-                 "folded_coherent_weight": float(np.sum(spec.coherent_weights))})
-    return Spectrum(freqs, _clip(out), spec.drive, meta=meta)
+    return Spectrum(freqs, _clip(out), spec.drive, meta=spec.meta)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sawmollow
-from sawmollow.cli import _json_dump, emit, main
+from sawmollow.cli import emit, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
 from sawmollow.model import KB, Frequency, TWO_PI
 
@@ -26,6 +26,13 @@ def run(args):
 
 def data_rows(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def strict_json(path):
+    """The JSON file parsed with NaN, Infinity and -Infinity rejected."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 # The physics flags each command takes, and a tiny run of each command.
@@ -67,6 +74,17 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flag", ["--out", "--format", "--config"])
+    def test_output_flags_are_rejected(self, tmp_path, flag):
+        """selftest writes no file, so it takes no output flags."""
+        value = {"--out": tmp_path / "x.csv", "--format": "json",
+                 "--config": tmp_path / "run.cfg"}[flag]
+        (tmp_path / "run.cfg").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run(["selftest", flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestImportCost:
@@ -124,11 +142,7 @@ class TestSpectrumCommand:
         assert run(["cooling-map", "--tol", "inf", "--delta-points", 2,
                     "--rabi-points", 1, "--nodes", 3, "--format", "json",
                     "--out", out]) == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-        payload = json.loads(out.read_text(), parse_constant=reject)
-        assert payload["meta"]["tol"] == "inf"
+        assert strict_json(out)["meta"]["tol"] == "inf"
 
     def test_json_format_parses_with_sorted_keys(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -158,6 +172,18 @@ class TestSpectrumCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error") and message in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--diffusion-mhz", 100]])
+    @pytest.mark.parametrize("fsr", ["nan", -1, 0])
+    @pytest.mark.parametrize("command", ["spectrum", "spectrum-map"])
+    def test_bad_fsr_exits_2_with_or_without_instrument(
+            self, tmp_path, capsys, command, fsr, extra):
+        """--fsr-ghz is checked even when no etalon or diffusion acts."""
+        out = tmp_path / "x.csv"
+        assert run([command, *TINY[command], *extra, "--fsr-ghz", fsr,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
 
     def test_missing_out_exits_2(self, capsys):
         assert run(["spectrum"]) == 2
@@ -734,11 +760,38 @@ class TestJobsEnvironment:
 
 
 class TestOutputEscaping:
-    def test_json_strings_with_control_characters_round_trip(self):
+    def test_json_strings_with_control_characters_round_trip(self, tmp_path):
         obj = {"data": "a\tb\nc", 'k"\x01\\': "\x7f end"}
-        out = io.StringIO()
-        _json_dump(obj, out)
-        assert json.loads(out.getvalue()) == obj
+        out = tmp_path / "x.json"
+        emit([], ["x"], out, "json", obj)
+        assert json.loads(out.read_text())["meta"] == obj
+
+    def test_json_writes_non_finite_row_values_as_strings(self, tmp_path):
+        """Rows follow the rule of meta and reports: nan, inf and -inf are
+        strings, never bare constants or null."""
+        out = tmp_path / "x.json"
+        emit([(math.nan, math.inf), (np.float64(-np.inf), np.float64(1.5))],
+             ("a", "b"), out, "json", {"tol": math.inf})
+        payload = strict_json(out)
+        assert payload["rows"] == [["nan", "inf"], ["-inf", 1.5]]
+        assert payload["columns"] == ["a", "b"]
+        assert payload["meta"] == {"tol": "inf"}
+
+    def test_fit_json_report_carries_covariance(self, tmp_path):
+        """The CSV report leaves the covariance out; the JSON report keeps
+        it beside params, stderr and meta."""
+        data = tmp_path / "cal.txt"
+        data.write_text("\n".join(f"{v} {2.0 * v + 0.1}"
+                                  for v in np.linspace(0.1, 0.5, 9)))
+        out = tmp_path / "fit.json"
+        assert run(["fit-linear", "--data", data, "--intercept",
+                    "--format", "json", "--out", out]) == 0
+        payload = strict_json(out)
+        assert np.shape(payload["covariance"]) == (2, 2)
+        assert set(payload["params"]) == set(payload["stderr"]) \
+            == {"slope", "intercept"}
+        assert payload["params"]["slope"] == pytest.approx(2.0)
+        assert payload["meta"]["intercept"] is True
 
     def test_header_value_with_newline_stays_one_line(self, tmp_path):
         data = tmp_path / "cal\nx.txt"
