@@ -605,6 +605,16 @@ def _apply_config_file(parser, argv):
     command.set_defaults(**defaults)
 
 
+def _check_frequency_flags(args) -> None:
+    """Every --*-ghz and --*-mhz value must be finite; an error names the
+    flag and its unit."""
+    for dest, value in vars(args).items():
+        unit = {"ghz": "GHz", "mhz": "MHz"}.get(dest.rpartition("_")[2])
+        if unit and not math.isfinite(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be a finite "
+                              f"frequency in {unit}, got {value}")
+
+
 def _report(kind: str, exc: BaseException) -> None:
     """Print an error, then each note attached to it on its own line."""
     print(f"{kind}: {exc}", *getattr(exc, "__notes__", ()), sep="\n",
@@ -617,6 +627,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_frequency_flags(args)
         if "out" in args and not args.out:
             raise ConfigError("--out is required for this command")
         return args.func(args)

@@ -20,11 +20,21 @@ phonon coherences rho[m, m'] with |m - m'| <= K (the band), raising K from
 is the full Liouvillian.  The band operator is written from the master
 equation's matrix elements on the band cells, each term moving m or m' by
 at most one, and cached per (rabi_L, Fock size, K): a detuning changes
-only its diagonal.  Every solve checks its own Fock truncation m_max: the
-phonon population p[m_max] of the top level, as the start of a geometric
-tail, holds the share p[m_max] * (m_max + 1 + m_ss) of m_ss.  Above
-_REL_TOL, m_max grows by 25% and the state is solved again, its band
-search starting at the K the last solve reached.
+only its diagonal.  The cells are ordered by (m + m', m - m', spins), so
+the operator is banded, of half-width 8K + 4, and its LU factorization
+needs no reordering.  The trace condition replaces the equation of one
+pinned cell, rho[(g, 0), (g, 0)] = 1, and the solution is divided by its
+trace; the state is never formed as a dense matrix.  Its positivity is
+checked on the band: in the basis interleaved as (m, spin) the Hermitian
+part of the band state is itself banded, of half-width 2K + 1, and a
+banded eigensolve gives its smallest eigenvalue.  Every solve checks its
+own Fock truncation m_max: the phonon population p[m_max] of the top
+level, as the start of a geometric tail, holds the share
+p[m_max] * (m_max + 1 + m_ss) of m_ss.  Above _REL_TOL, m_max grows by 25%
+and the state is solved again, its band search starting at the K the last
+solve reached.  A coupling too strong for the band gives up: at a band
+state whose populations are far below zero, or when the band search of
+one steady state passes _MAX_WORK.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 # Loading scipy.linalg starts the worker thread of scipy's OpenBLAS, which
 # spins for about 0.1 s; first, so the spin overlaps the scipy.sparse import.
-import scipy.linalg  # noqa: F401
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -62,6 +72,7 @@ _TAIL_MASS = 1e-8   # thermal occupation beyond the initial Fock truncation
 _REL_TOL = 1e-4     # largest share of m_ss left to the tail beyond m_max
 _MAX_ROUNDS = 12    # Fock growth gives up after this many solves
 _BAND_TOL = 1e-10   # band growth stops when m_ss moves less than this * m_th
+_MAX_WORK = 5e7     # band-search work of one steady state, cells * (2K + 1)^2
 
 
 class ResolutionWarning(UserWarning):
@@ -268,23 +279,36 @@ class SteadyStateResult:
 
 
 @lru_cache(maxsize=16)
+def _band_cells(nf: int, k: int):
+    """Spins and phonon numbers (s, m, t, n) of the band cells
+    rho[(s, m), (t, n)], |m - n| <= k (s = 0 excited), in the band order
+    (m + n, m - n, s, t), and their indices by [s, m, t, m - n + k]."""
+    total, d, s, t = (a.ravel() for a in np.meshgrid(
+        range(2 * nf - 1), range(-k, k + 1), range(2), range(2),
+        indexing="ij"))
+    m, n = (total + d) // 2, (total - d) // 2
+    keep = (((total + d) % 2 == 0) & (np.minimum(m, n) >= 0)
+            & (np.maximum(m, n) < nf))
+    s, m, t, n = s[keep], m[keep], t[keep], n[keep]
+    index = np.full((2, nf, 2, 2 * k + 1), -1)
+    index[s, m, t, m - n + k] = np.arange(m.size)
+    return s, m, t, n, index
+
+
+@lru_cache(maxsize=16)
 def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
                        gamma_s: float, m_th: float, nf: int, k: int):
-    """L at delta = 0 on the band cells rho[(s, m), (t, n)], |m - n| <= k
-    (s = 0 excited), as CSC with zero trace-row slots; its diagonal's slots
-    and delta coefficients i (t - s), the trace-row slots, the cells' phonon
-    numbers if diagonal (else 0), edge mask and places in rho.T.flat."""
-    t, n, s, d = (a.ravel() for a in np.meshgrid(
-        range(2), range(nf), range(2), range(-k, k + 1), indexing="ij"))
-    valid = (n + d >= 0) & (n + d < nf)
-    t, n, s, m = t[valid], n[valid], s[valid], (n + d)[valid]
-    size, flat = m.size, (t * nf + n) * 2 * nf + s * nf + m   # ascending
+    """L at delta = 0 on the band cells, in their band order, as CSC; its
+    diagonal's slots and delta coefficients i (t - s), and the slots of the
+    row of the pinned cell rho[(g, 0), (g, 0)]."""
+    s, m, t, n, index = _band_cells(nf, k)
+    size = m.size
 
     def cell(s2, m2, t2, n2):   # index of a cell, -1 outside the band
-        flat2 = (t2 * nf + n2) * 2 * nf + s2 * nf + m2
-        i = np.minimum(np.searchsorted(flat, flat2), size - 1)
-        valid = (np.minimum(m2, n2) >= 0) & (np.maximum(m2, n2) < nf)
-        return np.where(valid & (flat[i] == flat2), i, -1)
+        valid = ((np.minimum(m2, n2) >= 0) & (np.maximum(m2, n2) < nf)
+                 & (np.abs(m2 - n2) <= k))
+        return np.where(valid, index[s2, np.clip(m2, 0, nf - 1), t2,
+                                     np.clip(m2 - n2 + k, 0, 2 * k)], -1)
 
     down, up = gamma_s * (m_th + 1.0), gamma_s * m_th   # rates of b, b+
     bbd = np.append(np.arange(1.0, nf), 0.0)   # b b+ with b truncated at nf
@@ -304,64 +328,102 @@ def _liouvillian_parts(wl: float, ws: float, g0: float, gamma: float,
     source = np.array([cell(*term[:4]) for term in terms])
     value = np.array([term[4] for term in terms])
     keep = (source >= 0) & (value != 0)
-    trace = np.flatnonzero((s == t) & (m == n))   # one per column
-    rows = np.concatenate([np.arange(size), 0 * trace, np.nonzero(keep)[1]])
-    cols = np.concatenate([np.arange(size), trace, source[keep]])
-    vals = np.concatenate([diag, 0.0 * trace, value[keep]])
+    rows = np.concatenate([np.arange(size), np.nonzero(keep)[1]])
+    cols = np.concatenate([np.arange(size), source[keep]])
+    vals = np.concatenate([diag, value[keep]])
     key, slot = np.unique(cols * size + rows, return_inverse=True)
     data = np.bincount(slot, vals.real) + 1j * np.bincount(slot, vals.imag)
     op = sp.csc_matrix((data, key % size, np.searchsorted(
         key, np.arange(size + 1) * size)), shape=(size, size))
-    return (op, slot[:size], 1j * (t - s), slot[size:size + 2 * nf],
-            np.where((s == t) & (m == n), m, 0), np.abs(m - n) == k, flat)
+    pin = np.flatnonzero(key % size == index[1, 0, 1, k])
+    return op, slot[:size], 1j * (t - s), pin
 
 
 def _solve_band(cfg: LindbladConfig, n_fock: int, band: int):
-    """Hermitian steady state x on the band |m - m'| <= band, zero outside
-    it, its m_ss, the m_ss of the band - 1 state y, and the band residual.
-    The unit trace is a weighted row added to row 0 of L, giving A.  y is
-    zero on the edge |m - m'| = band and obeys y = x + A^-1 E L y (E keeps
-    the edge rows); one step from y = x is exact to first order in the weak
-    coupling across the edge.  COLAMD keeps the banded LU fill small; the
-    full band (n_fock - 1) factorizes faster with MMD on A + A^T."""
-    op, diag, detuning, trace, number, edge, cells = _liouvillian_parts(
+    """Steady state x on the band cells |m - m'| <= band, in their band
+    order (_band_cells), with unit trace; its m_ss, the m_ss of the
+    band - 1 state y, and the band residual.  L is singular, with the trace
+    as its left null vector, so A is L with the equation of the pinned cell
+    rho[(g, 0), (g, 0)] replaced by rho_pin = 1; x is A's solution divided
+    by its trace.  y is zero on the edge |m - m'| = band and obeys
+    y = y_pin x + A^-1 E L y (E keeps the edge rows); one step from y = x is
+    exact to first order in the weak coupling across the edge.  Every term
+    of L moves m + m' by at most 2, so in the band order A is banded,
+    with half-width 8 band + 4, and SuperLU keeps its natural order; the
+    full band (n_fock - 1) factorizes faster in COLAMD's order."""
+    op, diag, detuning, pin = _liouvillian_parts(
         cfg.drive.rabi_L.rad, cfg.cavity.omega_S.rad, cfg.cavity.g0.rad,
         cfg.emitter.gamma.rad, cfg.cavity.dissipation.rad, cfg.m_th, n_fock,
         band)
-    l_total = op.copy()    # the cached operator stays at delta = 0
-    l_total.data[diag] += cfg.drive.delta.rad * detuning
+    s, m, t, n, index = _band_cells(n_fock, band)
+    on_diagonal, edge = (s == t) & (m == n), np.abs(m - n) == band
+    shift = cfg.drive.delta.rad * detuning   # delta acts on the diagonal only
+    data = op.data.copy()    # the cached operator stays at delta = 0
+    data[diag] += shift
     # The mean |entry| of L; a power-of-two scale keeps its sum finite.
-    mag = np.abs(l_total.data)
+    mag = np.abs(data)
     scale = 2.0 ** -math.frexp(mag.max())[1]
     weight = np.sum(mag * scale) / np.count_nonzero(mag) / scale
-    a = l_total.copy()
-    a.data[trace] += weight
+    p = index[1, 0, 1, band]
+    data[pin] = 0.0
+    data[diag[p]] = weight
+    a = sp.csc_matrix((data, op.indices, op.indptr), shape=op.shape)
     try:
-        lu = splu(a, permc_spec="COLAMD" if band < n_fock - 1
-                  else "MMD_AT_PLUS_A")
+        lu = splu(a, permc_spec="NATURAL" if band < n_fock - 1 else "COLAMD")
     except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
         raise DegenerateSystemError(f"Lindblad steady state: {exc}") from None
-    x = lu.solve(weight * (np.arange(a.shape[0]) == 0))   # the unit trace
-    step = lu.solve(np.where(edge, l_total @ np.where(edge, 0.0, x), 0.0))
-    rho = np.zeros((2 * n_fock, 2 * n_fock), dtype=complex)
-    rho.T.flat[cells] = x    # cells count rho's entries column by column
-    if not (np.isfinite(x).all() and np.isfinite(step).all()
-            and abs(np.trace(rho).real - 1.0) <= 1e-6):
+    x = lu.solve(weight * (np.arange(m.size) == p))   # x_pin = 1
+    x_off_edge = np.where(edge, 0.0, x)
+    y = x + lu.solve(np.where(edge, op @ x_off_edge + shift * x_off_edge, 0.0))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()
+            and abs(x[p] - 1.0) <= 1e-6):
         raise DegenerateSystemError("Lindblad steady state: the solve is not "
-                                    "finite or has lost its unit trace")
-    return (0.5 * (rho + rho.conjugate().T), float(number @ x.real),
-            float(number @ (x + step).real),
-            float(np.linalg.norm(l_total @ x, np.inf)))
+                                    "finite or has lost its pinned cell")
+    x, y = x / x[on_diagonal].sum(), y / y[on_diagonal].sum()
+    # A band too narrow for the coupling leaves populations far below 0.
+    if x[on_diagonal].real.min() < -1e-6:
+        raise ConvergenceError(
+            f"Lindblad steady state: band K = {band} at m_max = {n_fock - 1} "
+            "is far from positive", residual=-x[on_diagonal].real.min())
+    number = np.where(on_diagonal, m, 0)
+    return (x, float(number @ x.real), float(number @ y.real),
+            float(np.abs(op @ x + shift * x).max()))
 
 
-def _band_steady_state(cfg: LindbladConfig, n_fock: int, first_band: int = 2):
-    """rho, m_ss, band residual and band K at n_fock, K grown from
-    first_band; one band-K solve gives m_ss at K - 1 and K."""
+def _band_steady_state(cfg: LindbladConfig, n_fock: int, first_band: int = 2,
+                       spent=None):
+    """x, m_ss, band residual and band K at n_fock, K grown from
+    first_band; one band-K solve gives m_ss at K - 1 and K.  spent[0] adds
+    up the work of every solve, its cells times (2K + 1)^2 (the banded LU
+    scales so); the search stops before a solve that takes it past
+    _MAX_WORK."""
+    spent = [0.0] if spent is None else spent
+    moved = math.inf
     for band in range(min(first_band, n_fock - 1), n_fock):
-        rho, m_ss, m_prev, residual = _solve_band(cfg, n_fock, band)
+        spent[0] += _band_cells(n_fock, band)[1].size * (2 * band + 1) ** 2
+        if spent[0] > _MAX_WORK:
+            raise ConvergenceError(
+                f"Lindblad steady state: band search at m_max = {n_fock - 1} "
+                f"passes its work limit {_MAX_WORK:g} at K = {band}: m_ss "
+                "does not settle in K", residual=moved)
+        x, m_ss, m_prev, residual = _solve_band(cfg, n_fock, band)
         if abs(m_ss - m_prev) <= _BAND_TOL * cfg.m_th:
             break
-    return rho, m_ss, residual, band
+        moved = abs(m_ss - m_prev) / cfg.m_th
+    return x, m_ss, residual, band
+
+
+def _min_eigenvalue(x, n_fock: int, band: int) -> float:
+    """Smallest eigenvalue of the Hermitian part of the band state x.  In
+    the interleaved basis 2 m + s it is banded, of half-width 2 band + 1."""
+    s, m, t, n, _ = _band_cells(n_fock, band)
+    i, j = 2 * m + s, 2 * n + t
+    lower, upper = i >= j, i <= j
+    ab = np.zeros((2 * band + 2, 2 * n_fock), dtype=complex)   # lower band
+    ab[(i - j)[lower], j[lower]] = 0.5 * x[lower]
+    ab[(j - i)[upper], i[upper]] += 0.5 * x[upper].conjugate()
+    return float(scipy.linalg.eig_banded(
+        ab, lower=True, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
 
 def band_deviation(cfg: LindbladConfig, m_max: int) -> tuple[int, float]:
@@ -375,14 +437,16 @@ def lindblad_steady_state(cfg: LindbladConfig) -> SteadyStateResult:
     the band K and the Fock truncation m_max grown as the module docstring
     says; K barely changes with m_max, so each round starts at the last K."""
     m_th = cfg.m_th
-    m, band = cfg.initial_m_max(), 2
+    m, band, spent = cfg.initial_m_max(), 2, [0.0]
     for _ in range(_MAX_ROUNDS):
-        rho, m_ss, residual, band = _band_steady_state(cfg, m + 1, band)
-        # basis index s * (m + 1) + level: the top level at m and 2m + 1
-        tail = float(rho[m, m].real + rho[-1, -1].real) * (m + 1 + m_ss)
+        x, m_ss, residual, band = _band_steady_state(cfg, m + 1, band, spent)
+        s, level, t, n, index = _band_cells(m + 1, band)
+        top = x[index[:, m, :, band].diagonal()]   # the top level, both spins
+        tail = float(top.real.sum()) * (m + 1 + m_ss)
         if tail <= _REL_TOL:
-            trace_error = abs(float(np.trace(rho).real) - 1.0)
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            trace = float(x[(s == t) & (level == n)].sum().real)
+            trace_error = abs(trace - 1.0)
+            min_eig = _min_eigenvalue(x, m + 1, band)
             return SteadyStateResult(m_ss, (m_ss - m_th) / m_th, trace_error,
                                      min_eig, residual, m, band, m_th)
         m, m_solved = math.ceil(1.25 * m), m

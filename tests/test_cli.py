@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sawmollow
-from sawmollow.cli import emit, main
+from sawmollow.cli import build_parser, emit, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
 from sawmollow.model import KB, Frequency, TWO_PI
 
@@ -51,6 +51,12 @@ TINY = {"spectrum": ["--window-ghz", 4, "--points", 21, "--nodes", 3],
                         "--nodes", 3],
         "lindblad-map": ["--temp-k", 0.1, "--delta-points", 2,
                          "--rabi-points", 1, "--nodes", 3]}
+FREQUENCY_FLAGS = [
+    (name, flag)
+    for name, parser in build_parser()._subparsers._group_actions[0]
+    .choices.items()
+    for action in parser._actions for flag in action.option_strings
+    if flag.endswith(("-ghz", "-mhz"))]
 PERTURBED = {"--delta-ghz": 0.4, "--rabi-l-ghz": 1.5, "--rabi-s-ghz": 0.8,
              "--omega-s-ghz": 3.0, "--gamma-mhz": 300, "--diffusion-mhz": 250,
              "--etalon-mhz": 300, "--fsr-ghz": 7}
@@ -183,6 +189,22 @@ class TestSpectrumCommand:
         assert run([command, *TINY[command], *extra, "--fsr-ghz", fsr,
                     "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", FREQUENCY_FLAGS,
+                             ids=[f"{c}{f}" for c, f in FREQUENCY_FLAGS])
+    def test_non_finite_frequency_flag_exits_2_naming_it(
+            self, tmp_path, capsys, command, flag, value):
+        """nan or inf in any --*-ghz or --*-mhz flag is refused with a
+        message that names the flag and its unit."""
+        out = tmp_path / "x.csv"
+        data = ["--data", tmp_path / "absent.txt"] if "fit" in command else []
+        assert run([command, *data, f"{flag}={value}", "--out", out]) == 2
+        unit = "GHz" if flag.endswith("ghz") else "MHz"
+        assert capsys.readouterr().err == (
+            f"config error: {flag} must be a finite frequency in {unit}, "
+            f"got {float(value)}\n")
         assert not out.exists()
 
     def test_missing_out_exits_2(self, capsys):
@@ -396,6 +418,23 @@ class TestSpectrumCommand:
         assert not out.exists()
 
     ONE_POINT = ["--delta-points", 1, "--rabi-points", 1, "--nodes", 3]
+
+    @pytest.mark.parametrize("g0, message", [
+        ("1e20", "is far from positive"),
+        pytest.param("1e5", "passes its work limit", marks=pytest.mark.slow)])
+    def test_coupling_beyond_the_band_exits_3_quickly(self, tmp_path, capsys,
+                                                      g0, message):
+        """A coupling for which m_ss never settles in the band K: the search
+        stops at a band state far from positive, or at its work limit,
+        instead of trying every band of every Fock size."""
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert run(["lindblad-map", "--g0-mhz", g0, *self.ONE_POINT,
+                    "--out", out]) == 3
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: Lindblad steady state")
+        assert message in err and not out.exists()
 
     @pytest.mark.parametrize("args, code, message", [
         (["cooling-map", "--omega-s-ghz", "1e-320", *ONE_POINT], 2,
