@@ -15,6 +15,7 @@ constants, and solver tolerances in its header.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -126,12 +127,16 @@ def _plain(obj):
 
 def _metadata(args, extra=None) -> dict:
     """Resolved physics and numerics inputs; settings such as --jobs and the
-    --config path stay out so that they cannot change the output bytes."""
+    --config path stay out, and a --data file enters by the SHA-256 of its
+    bytes, so that only the inputs' contents set the output bytes."""
     meta = {"version": __version__, "hbar_J_s": HBAR, "k_B_J_per_K": KB}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "out", "format", "jobs", "config") or value is None:
             continue
         meta[key] = value
+    if "data" in meta:
+        with open(meta.pop("data"), "rb") as fh:
+            meta["data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     if extra:
         meta.update(extra)
     return meta
@@ -182,57 +187,58 @@ def emit(rows, columns, path, fmt, meta):
 
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")   # a value, also -9.8e-08
 
-
-def _command(sub, name, func, help_text):
-    """Parser of one subcommand, with the flags that every command takes."""
-    p = sub.add_parser(name, help=help_text)
-    p._negative_number_matcher = _NEGATIVE_NUMBER
-    p.add_argument("--config", help="key = value file; flags override it")
-    p.add_argument("--out", required=False, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=func)
-    return p
-
-
-def _add_map_flags(p, nodes: int, tol: float | None = None):
-    """--nodes and --jobs of the map commands, and --tol where the map
-    solves the harmonic balance."""
-    p.add_argument("--nodes", type=int, default=nodes,
-                   help="Gauss-Hermite nodes for the diffusion average")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    if tol is not None:
-        p.add_argument("--tol", type=float, default=tol,
-                       help="harmonic-balance (Floquet) residual tolerance")
-
-
-def _add_drive_sweep(p, points: int):
-    p.add_argument("--sweep", choices=("rabi-l", "delta"), default="rabi-l")
-    p.add_argument("--sweep-start", type=float, default=0.5)
-    p.add_argument("--sweep-stop", type=float, default=5.5)
-    p.add_argument("--sweep-points", type=int, default=points)
-
-
-def _add_grid(p, rabi_start: float, points: int):
-    """Detuning x Rabi-frequency grid (GHz) of the cooling maps."""
-    p.add_argument("--delta-start", type=float, default=-5.0)
-    p.add_argument("--delta-stop", type=float, default=5.0)
-    p.add_argument("--delta-points", type=int, default=points)
-    p.add_argument("--rabi-start", type=float, default=rabi_start)
-    p.add_argument("--rabi-stop", type=float, default=rabi_start + 5.0)
-    p.add_argument("--rabi-points", type=int, default=points)
-
-
-# Every physics flag with its default; each command takes those it reads.
-_PHYSICS = {"delta-ghz": 0.0, "rabi-l-ghz": 2.625, "rabi-s-ghz": 1.75,
-            "omega-s-ghz": DEVICE_OMEGA_S_GHZ,
-            "gamma-mhz": DEVICE_GAMMA_GHZ * 1e3, "diffusion-mhz": 0.0,
-            "etalon-mhz": 0.0, "fsr-ghz": DEVICE_ETALON_FSR_GHZ}
-
-
-def _add_physics(p, flags, diffusion_default=0.0):
-    defaults = {**_PHYSICS, "diffusion-mhz": diffusion_default}
-    for flag in flags:
-        p.add_argument(f"--{flag}", type=float, default=defaults[flag])
+# Every flag once: its argparse keywords and, for a frequency, its unit.
+# COMMANDS lists the flags each command takes and its own defaults.
+FLAGS = {
+    "config": dict(help="key = value file; flags override it"),
+    "out": dict(help="output file path"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "data": dict(required=True),
+    "delta-ghz": dict(type=float, default=0.0, unit="GHz"),
+    "rabi-l-ghz": dict(type=float, default=2.625, unit="GHz"),
+    "rabi-s-ghz": dict(type=float, default=1.75, unit="GHz"),
+    "omega-s-ghz": dict(type=float, default=DEVICE_OMEGA_S_GHZ, unit="GHz"),
+    "gamma-mhz": dict(type=float, default=DEVICE_GAMMA_GHZ * 1e3, unit="MHz"),
+    "diffusion-mhz": dict(type=float, default=0.0, unit="MHz"),
+    "etalon-mhz": dict(type=float, default=0.0, unit="MHz"),
+    "fsr-ghz": dict(type=float, default=DEVICE_ETALON_FSR_GHZ, unit="GHz"),
+    "temp-k": dict(type=float, default=0.1),
+    "g0-mhz": dict(type=float, default=DEVICE_G0_GHZ * 1e3, unit="MHz"),
+    "q": dict(type=float, default=DEVICE_Q_FACTOR),
+    "m-max": dict(type=int, default=0,
+                  help="floor of the Fock truncation; each solve grows it "
+                       "until the phonon tail is negligible"),
+    "sweep": dict(choices=("rabi-l", "delta"), default="rabi-l"),
+    "sweep-start": dict(type=float, default=0.5, unit="GHz"),
+    "sweep-stop": dict(type=float, default=5.5, unit="GHz"),
+    "sweep-points": dict(type=int),
+    "delta-start": dict(type=float, default=-5.0, unit="GHz"),
+    "delta-stop": dict(type=float, default=5.0, unit="GHz"),
+    "delta-points": dict(type=int),
+    "rabi-start": dict(type=float, unit="GHz"),
+    "rabi-stop": dict(type=float, unit="GHz"),
+    "rabi-points": dict(type=int),
+    "window-ghz": dict(type=float, default=12.0, unit="GHz",
+                       help="half-width of the frequency window"),
+    "points": dict(type=int, default=2001),
+    "nodes": dict(type=int,
+                  help="Gauss-Hermite nodes for the diffusion average"),
+    "jobs": dict(type=int, default=1, help="parallel workers"),
+    "tol": dict(type=float,
+                help="harmonic-balance (Floquet) residual tolerance"),
+    "init-rabi-s-ghz": dict(type=float, default=1.0, unit="GHz"),
+    "init-linewidth-ghz": dict(type=float, default=0.5, unit="GHz"),
+    "intercept": dict(action="store_true"),
+    "target": dict(type=float, required=True),
+}
+_OUTPUT = ["config", "out", "format"]
+_PHYSICS = ["delta-ghz", "rabi-l-ghz", "rabi-s-ghz", "omega-s-ghz",
+            "gamma-mhz", "diffusion-mhz", "etalon-mhz", "fsr-ghz"]
+_SWEEP = ["sweep", "sweep-start", "sweep-stop", "sweep-points"]
+_GRID = ["delta-start", "delta-stop", "delta-points",
+         "rabi-start", "rabi-stop", "rabi-points"]
+_MAP = ["nodes", "jobs", "tol"]
+_SPECTRUM = ["window-ghz", "points", *_MAP]
 
 
 def _emitter(args) -> EmitterParams:
@@ -480,6 +486,45 @@ def cmd_selftest(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+# Each command: its function, its help, the flags it takes in help order,
+# and by flag name its own defaults, or argparse keywords as a dict.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "one emission spectrum",
+                 [*_OUTPUT, *_PHYSICS, *_SPECTRUM],
+                 {"nodes": 21, "tol": 1e-10}),
+    "spectrum-map": (cmd_spectrum_map, "spectra over a drive sweep",
+                     [*_OUTPUT, *_PHYSICS, *_SWEEP, *_SPECTRUM],
+                     {"sweep-points": 11, "nodes": 21, "tol": 1e-10}),
+    "dressed-lines": (cmd_dressed_lines, "predicted line table",
+                      [*_OUTPUT, *_PHYSICS[:4], *_SWEEP],
+                      {"sweep-points": 21}),
+    "cooling-map": (cmd_cooling_map, "closed-form phonon rate map",
+                    [*_OUTPUT, *_PHYSICS[2:6], *_GRID, *_MAP],
+                    {"diffusion-mhz": DEVICE_DIFFUSION_GHZ * 1e3,
+                     "rabi-start": 0.5, "rabi-stop": 5.5, "delta-points": 41,
+                     "rabi-points": 41, "nodes": 9, "tol": 1e-9}),
+    "lindblad-map": (cmd_lindblad_map, "quantized cooling performance map",
+                     [*_OUTPUT, *_PHYSICS[3:6], "temp-k", "g0-mhz", "q",
+                      "m-max", *_GRID, *_MAP[:2]],
+                     {"diffusion-mhz": DEVICE_DIFFUSION_GHZ * 1e3,
+                      "rabi-start": 0.25, "rabi-stop": 5.25, "delta-points": 21,
+                      "rabi-points": 21, "nodes": 5}),
+    "fit-absorption": (cmd_fit_absorption, "fit sideband absorption data",
+                       [*_OUTPUT, "data", "omega-s-ghz", "init-rabi-s-ghz",
+                        "init-linewidth-ghz"],
+                       {"data": {"help": "two-column file: detuning_GHz, "
+                                         "counts"}}),
+    "fit-lorentzian": (cmd_fit_lorentzian, "fit a Lorentzian resonance",
+                       [*_OUTPUT, "data"], {}),
+    "fit-linear": (cmd_fit_linear, "linear calibration slope",
+                   [*_OUTPUT, "data", "intercept"], {}),
+    "background": (cmd_background, "quadratic background extrapolation",
+                   [*_OUTPUT, "data", "target"],
+                   {"data": {"help": "two-column file: bias_V, counts"}}),
+    "selftest": (cmd_selftest, "run the quick invariant suite", [], {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sawmollow",
@@ -489,130 +534,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "spectrum", cmd_spectrum, "one emission spectrum")
-    _add_physics(p, _PHYSICS)
-    p.add_argument("--window-ghz", type=float, default=12.0,
-                   help="half-width of the frequency window")
-    p.add_argument("--points", type=int, default=2001)
-    _add_map_flags(p, nodes=21, tol=1e-10)
-
-    p = _command(sub, "spectrum-map", cmd_spectrum_map,
-                 "spectra over a drive sweep")
-    _add_physics(p, _PHYSICS)
-    _add_drive_sweep(p, points=11)
-    p.add_argument("--window-ghz", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=2001)
-    _add_map_flags(p, nodes=21, tol=1e-10)
-
-    p = _command(sub, "dressed-lines", cmd_dressed_lines,
-                 "predicted line table")
-    _add_physics(p, ["delta-ghz", "rabi-l-ghz", "rabi-s-ghz", "omega-s-ghz"])
-    _add_drive_sweep(p, points=21)
-
-    p = _command(sub, "cooling-map", cmd_cooling_map,
-                 "closed-form phonon rate map")
-    _add_physics(p, ["rabi-s-ghz", "omega-s-ghz", "gamma-mhz", "diffusion-mhz"],
-                 diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
-    _add_grid(p, rabi_start=0.5, points=41)
-    _add_map_flags(p, nodes=9, tol=1e-9)
-
-    p = _command(sub, "lindblad-map", cmd_lindblad_map,
-                 "quantized cooling performance map")
-    _add_physics(p, ["omega-s-ghz", "gamma-mhz", "diffusion-mhz"],
-                 diffusion_default=DEVICE_DIFFUSION_GHZ * 1e3)
-    p.add_argument("--temp-k", type=float, default=0.1)
-    p.add_argument("--g0-mhz", type=float, default=DEVICE_G0_GHZ * 1e3)
-    p.add_argument("--q", type=float, default=DEVICE_Q_FACTOR)
-    p.add_argument("--m-max", type=int, default=0,
-                   help="floor of the Fock truncation; each solve grows it "
-                        "until the phonon tail is negligible")
-    _add_grid(p, rabi_start=0.25, points=21)
-    _add_map_flags(p, nodes=5)
-
-    p = _command(sub, "fit-absorption", cmd_fit_absorption,
-                 "fit sideband absorption data")
-    p.add_argument("--data", required=True,
-                   help="two-column file: detuning_GHz, counts")
-    p.add_argument("--omega-s-ghz", type=float, default=DEVICE_OMEGA_S_GHZ)
-    p.add_argument("--init-rabi-s-ghz", type=float, default=1.0)
-    p.add_argument("--init-linewidth-ghz", type=float, default=0.5)
-
-    p = _command(sub, "fit-lorentzian", cmd_fit_lorentzian,
-                 "fit a Lorentzian resonance")
-    p.add_argument("--data", required=True)
-
-    p = _command(sub, "fit-linear", cmd_fit_linear, "linear calibration slope")
-    p.add_argument("--data", required=True)
-    p.add_argument("--intercept", action="store_true")
-
-    p = _command(sub, "background", cmd_background,
-                 "quadratic background extrapolation")
-    p.add_argument("--data", required=True,
-                   help="two-column file: bias_V, counts")
-    p.add_argument("--target", type=float, required=True)
-
-    sub.add_parser("selftest", help="run the quick invariant suite"
-                   ).set_defaults(func=cmd_selftest)
-
+    for name, (func, help_text, flags, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.set_defaults(func=func)
+        for flag in flags:
+            kw = {k: v for k, v in FLAGS[flag].items() if k != "unit"}
+            value = own.get(flag, {})
+            kw.update(value if isinstance(value, dict) else {"default": value})
+            p.add_argument(f"--{flag}", **kw)
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-def _apply_config_file(parser, argv):
-    """Defaults of the chosen command from --config; it must take each key."""
+def _with_config(argv: list) -> list:
+    """argv with the `key = value` lines of the command's --config file
+    inserted as --key=value flags right after the command, so that argparse
+    converts and checks them as flags and the command line wins."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("command", nargs="?")
-    probe.add_argument("--config")
+    # nargs="?": build_parser's parser reports a missing value, with usage.
+    probe.add_argument("--config", nargs="?")
     known, _ = probe.parse_known_args(argv)
-    command = parser._subparsers._group_actions[0].choices.get(known.command)
-    if not known.config or command is None:
-        return
-    raw = _load_config_file(known.config)
-    defaults = {}
-    for action in (a for a in command._actions if a.dest in raw):
-        text = raw.pop(action.dest)
-        action.required = False     # the file may give a required flag
-        if action.type is not None:
-            try:
-                defaults[action.dest] = action.type(text)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config value {action.dest} = {text!r}: {exc}")
-        elif isinstance(action, argparse._StoreTrueAction):
-            defaults[action.dest] = text.lower() in ("1", "true", "yes")
-        else:
-            defaults[action.dest] = text
-    if raw:
+    takes = COMMANDS[known.command][2] if known.command in COMMANDS else []
+    if not known.config or "config" not in takes:
+        return argv
+    values = {}
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                key, eq, value = raw.split("#", 1)[0].partition("=")
+                if eq:
+                    values[key.strip().replace("_", "-")] = value.strip()
+                elif key.strip():
+                    raise ConfigError(
+                        f"{known.config}:{lineno}: expected key = value")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {known.config}: {exc}") from exc
+    unknown = sorted(k.replace("-", "_") for k in values
+                     if k not in takes or k == "config")
+    if unknown:
         raise ConfigError(f"{known.config}: {known.command} does not take "
-                          f"{', '.join(sorted(raw))}")
-    command.set_defaults(**defaults)
+                          f"{', '.join(unknown)}")
+    flags = []
+    for key, value in values.items():
+        if FLAGS[key].get("action") != "store_true":
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no"):
+            raise ConfigError(f"config value {key} = {value!r}: not a boolean")
+    at = argv.index(known.command) + 1
+    return [*argv[:at], *flags, *argv[at:]]
 
 
 def _check_frequency_flags(args) -> None:
-    """Every --*-ghz and --*-mhz value must be finite; an error names the
-    flag and its unit."""
+    """Every frequency flag's value must be finite; an error names the flag
+    and its unit."""
     for dest, value in vars(args).items():
-        unit = {"ghz": "GHz", "mhz": "MHz"}.get(dest.rpartition("_")[2])
+        flag = dest.replace("_", "-")
+        unit = FLAGS.get(flag, {}).get("unit")
         if unit and not math.isfinite(value):
-            raise ConfigError(f"--{dest.replace('_', '-')} must be a finite "
-                              f"frequency in {unit}, got {value}")
+            raise ConfigError(f"--{flag} must be a finite frequency in {unit}, "
+                              f"got {value}")
 
 
 def _report(kind: str, exc: BaseException) -> None:
@@ -625,8 +608,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv))
         _check_frequency_flags(args)
         if "out" in args and not args.out:
             raise ConfigError("--out is required for this command")

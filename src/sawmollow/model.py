@@ -157,6 +157,9 @@ class AcousticCavity:
             raise DomainError("omega_S must be positive")
         if not self.quality > 0:
             raise DomainError("quality factor must be positive")
+        if math.isinf(self.omega_S.rad / self.quality):
+            raise DomainError(f"quality factor {self.quality:.3e}: the "
+                              "dissipation omega_S / Q is not finite")
 
     @property
     def dissipation(self) -> Frequency:
@@ -237,6 +240,8 @@ def thermal_occupation(omega_S, temperature: float) -> float:
         raise DomainError("omega_S must be positive")
     if not temperature > 0:
         raise DomainError("temperature must be positive")
+    if math.isinf(temperature):
+        raise DomainError("temperature must be finite")
     x = HBAR * w / (KB * temperature)
     try:
         return 1.0 / math.expm1(x)

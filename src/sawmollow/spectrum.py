@@ -35,6 +35,7 @@ tests/correlator_oracle.py.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -169,13 +170,16 @@ def _outcomes(fn, items) -> list:
 
 def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
     """[fn(item) for item in items]; with jobs > 1, contiguous chunks run in
-    a process pool of at most len(items) workers.  Every item runs even when
-    some fail; the first failure is then re-raised with its own class and a
-    note that lists where(i) and the message of every failing item i."""
+    a process pool of min(jobs, len(items), usable CPUs) workers.  Every
+    item runs even when some fail; the first failure is then re-raised with
+    its own class and a note that lists where(i) and the message of every
+    failing item i."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
-    workers = min(jobs, len(items))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, len(items), cpus)
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

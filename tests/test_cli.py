@@ -1,11 +1,15 @@
+import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sawmollow
-from sawmollow.cli import build_parser, emit, main
+from sawmollow.cli import COMMANDS, FLAGS, build_parser, emit, main
 from sawmollow.fitting import AbsorptionModel, absorption_spectrum
 from sawmollow.model import KB, Frequency, TWO_PI
 
@@ -51,12 +55,9 @@ TINY = {"spectrum": ["--window-ghz", 4, "--points", 21, "--nodes", 3],
                         "--nodes", 3],
         "lindblad-map": ["--temp-k", 0.1, "--delta-points", 2,
                          "--rabi-points", 1, "--nodes", 3]}
-FREQUENCY_FLAGS = [
-    (name, flag)
-    for name, parser in build_parser()._subparsers._group_actions[0]
-    .choices.items()
-    for action in parser._actions for flag in action.option_strings
-    if flag.endswith(("-ghz", "-mhz"))]
+FREQUENCY_FLAGS = [(command, f"--{flag}")
+                   for command, (_, _, flags, _) in COMMANDS.items()
+                   for flag in flags if "unit" in FLAGS[flag]]
 PERTURBED = {"--delta-ghz": 0.4, "--rabi-l-ghz": 1.5, "--rabi-s-ghz": 0.8,
              "--omega-s-ghz": 3.0, "--gamma-mhz": 300, "--diffusion-mhz": 250,
              "--etalon-mhz": 300, "--fsr-ghz": 7}
@@ -195,17 +196,23 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("command, flag", FREQUENCY_FLAGS,
                              ids=[f"{c}{f}" for c, f in FREQUENCY_FLAGS])
     def test_non_finite_frequency_flag_exits_2_naming_it(
-            self, tmp_path, capsys, command, flag, value):
-        """nan or inf in any --*-ghz or --*-mhz flag is refused with a
-        message that names the flag and its unit."""
+            self, tmp_path, capsys, recwarn, command, flag, value):
+        """nan or inf in any frequency flag, grid and sweep bounds
+        included, is refused before any solve with a message that names the
+        flag and its unit."""
         out = tmp_path / "x.csv"
         data = ["--data", tmp_path / "absent.txt"] if "fit" in command else []
         assert run([command, *data, f"{flag}={value}", "--out", out]) == 2
-        unit = "GHz" if flag.endswith("ghz") else "MHz"
+        unit = FLAGS[flag[2:]]["unit"]
         assert capsys.readouterr().err == (
             f"config error: {flag} must be a finite frequency in {unit}, "
             f"got {float(value)}\n")
-        assert not out.exists()
+        assert not recwarn.list and not out.exists()
+
+    def test_grid_and_sweep_bounds_are_frequency_flags(self):
+        assert {f for _, f in FREQUENCY_FLAGS} >= {
+            "--delta-start", "--delta-stop", "--rabi-start", "--rabi-stop",
+            "--sweep-start", "--sweep-stop"}
 
     def test_missing_out_exits_2(self, capsys):
         assert run(["spectrum"]) == 2
@@ -443,13 +450,19 @@ class TestSpectrumCommand:
          "config error: omega_S = 1.000e-320 GHz is too small"),
         (["lindblad-map", "--temp-k", "1e17", *ONE_POINT], 2,
          "config error: temperature 1.000e+17 K"),
+        (["lindblad-map", "--temp-k", "inf", *ONE_POINT], 2,
+         "config error: temperature must be finite"),
+        (["lindblad-map", "--q", "1e-300", *ONE_POINT], 2,
+         "config error: quality factor 1.000e-300: the dissipation"),
         (["lindblad-map", "--g0-mhz", "1e300", *ONE_POINT], 3,
          "numerical error: Lindblad steady state"),
-    ], ids=["tiny-saw-map", "tiny-saw-spectrum", "hot-mode", "singular"])
+    ], ids=["tiny-saw-map", "tiny-saw-spectrum", "hot-mode", "infinite-temp",
+            "overdamped-mode", "singular"])
     def test_extreme_values_exit_with_a_message(self, tmp_path, capsys,
                                                 recwarn, args, code, message):
-        """An omega_S whose truncation order is not finite, or an occupation
-        too large for a Fock truncation, is a configuration error; a
+        """An omega_S whose truncation order is not finite, an occupation
+        too large for a Fock truncation or not finite, or a dissipation
+        omega_S / Q that is not finite, is a configuration error; a
         coupling that leaves the Liouvillian singular is a numerical
         error.  Neither writes a file, nor raises a numpy warning."""
         out = tmp_path / "x.csv"
@@ -506,6 +519,24 @@ class TestSpectrumCommand:
                     "--out", tmp_path / "x.csv"]) == 2
         assert "n_phase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line, flag", [
+        ("spectrum", "format = xml", "--format"),
+        ("spectrum-map", "sweep = foo", "--sweep"),
+        ("spectrum", "nodes = 3.0", "--nodes"),
+        ("cooling-map", "delta-start = inf", "--delta-start"),
+        ("fit-linear", "intercept = maybe", "intercept")])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys,
+                                                  command, line, flag):
+        """A config value meets the type, choices and unit checks of its
+        flag: exit 2, a message naming the flag, no file."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_text(line + "\n")
+        try:
+            code = run([command, "--config", cfg, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and not out.exists()
+        assert flag in capsys.readouterr().err
 
     def test_config_key_of_another_command_rejected(self, tmp_path, capsys):
         cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
@@ -763,6 +794,26 @@ class TestConfigRoundTrip:
         assert outs[0].read_bytes() == outs[1].read_bytes() \
             == outs[2].read_bytes()
 
+    @pytest.mark.parametrize("args", [["fit-linear", "--intercept"],
+                                      ["background", "--target", 0.6]])
+    def test_data_path_does_not_change_output_bytes(self, tmp_path, args):
+        """One data file's bytes under two directories, by flag and by
+        --config: identical outputs."""
+        outs = []
+        for name in ("a", "b"):
+            data = tmp_path / name / "cal.txt"
+            data.parent.mkdir()
+            data.write_text("\n".join(f"{v} {1.0 + 2.0 * v + v * v}"
+                                      for v in (-0.5, 0.1, 0.2, 0.3, 0.9)))
+            outs.append(tmp_path / f"{name}.csv")
+            assert run([*args, "--data", data, "--out", outs[-1]]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data}\n")
+        outs.append(tmp_path / "cfg.csv")
+        assert run([*args, "--config", cfg, "--out", outs[-1]]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
+
 
 class TestJobsEnvironment:
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
@@ -785,6 +836,45 @@ class TestJobsEnvironment:
         assert run(args + ["--jobs", 1, "--out", serial]) == 0
         assert run(args + ["--jobs", 2, "--out", parallel]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        ({0, 1}, 8, [2]), (None, 3, [3]), (None, None, [])])
+    def test_workers_are_capped_at_usable_cpus(self, tmp_path, monkeypatch,
+                                               affinity, cpu_count, workers):
+        """--jobs 3000 starts no more workers than the CPUs the process
+        may use (one CPU: no pool), and writes the serial run's bytes.  The
+        pool is replaced by one that records its size and runs inline."""
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        args = ["cooling-map", "--delta-points", 3, "--rabi-points", 2,
+                "--nodes", 3]
+        serial, capped = tmp_path / "j1.csv", tmp_path / "j3000.csv"
+        assert run(args + ["--jobs", 1, "--out", serial]) == 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        assert run(args + ["--jobs", 3000, "--out", capped]) == 0
+        assert started == workers
+        assert serial.read_bytes() == capped.read_bytes()
 
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
         """The library rejects jobs < 1 before any solve."""
@@ -833,14 +923,9 @@ class TestOutputEscaping:
         assert payload["meta"]["intercept"] is True
 
     def test_header_value_with_newline_stays_one_line(self, tmp_path):
-        data = tmp_path / "cal\nx.txt"
-        data.write_text("\n".join(f"{v} {2.0 * v}" for v in (0.1, 0.2, 0.3)))
-        out = tmp_path / "fit.csv"
-        assert run(["fit-linear", "--data", data, "--out", out]) == 0
-        lines = out.read_text().split("\n")
-        header = lines[:lines.index("key,value")]
-        assert all(line.startswith("# ") for line in header)
-        assert f"# data = {tmp_path}/cal\\nx.txt" in header
+        out = tmp_path / "x.csv"
+        emit([], ["x"], out, "csv", {"note": "cal\nx.txt"})
+        assert out.read_text().split("\n") == ["# note = cal\\nx.txt", "x", ""]
 
     def test_fit_report_header_formats_like_emit(self, tmp_path):
         data = tmp_path / "cal.txt"
@@ -856,8 +941,27 @@ class TestOutputEscaping:
         assert set(expected) <= set(out.read_text().splitlines())
 
     def test_plain_header_unchanged(self, tmp_path):
+        """The data file enters the header by the digest of its bytes."""
         data = tmp_path / "cal.txt"
         data.write_text("\n".join(f"{v} {2.0 * v}" for v in (0.1, 0.2, 0.3)))
         out = tmp_path / "fit.csv"
         assert run(["fit-linear", "--data", data, "--out", out]) == 0
-        assert f"# data = {data}\n" in out.read_text()
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert f"# data_sha256 = {digest}\n" in out.read_text()
+        assert str(data) not in out.read_text()
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        """Every `sawmollow ...` line of README's command-line block, with
+        backslash continuations joined, parses with the CLI's parser."""
+        readme = Path(__file__).parents[1] / "README.md"
+        text = readme.read_text().split("## Command line", 1)[1]
+        block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(l)[1:] for l in lines
+                    if l.startswith("sawmollow ")]
+        assert len(examples) >= 10
+        parser = build_parser()
+        for argv in examples:
+            assert parser.parse_args(argv).command == argv[0]
