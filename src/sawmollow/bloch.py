@@ -15,6 +15,8 @@ periodic with the acoustic period, so the driven steady state is a limit
 cycle.  Three routes into it live here:
 
 * :func:`propagate` -- adaptive direct integration (transients, oracles);
+  one DOP853 integrator, :func:`_integrate`, serves it and the fundamental
+  matrix below;
 * :func:`floquet_steady_state` -- harmonic balance: insert
   x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
   solve for the harmonics by a matrix continued fraction (:func:`_sambe_solve`,
@@ -128,9 +130,6 @@ class BlochGenerator:
         c = math.cos(self._omega_s * math.fmod(t, self.period))
         return self.static_part + c * self.modulation_part
 
-    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.matrix(t) @ x + self.inhomogeneous
-
 
 @dataclass(frozen=True)
 class BlochTrajectory:
@@ -154,24 +153,44 @@ class BlochTrajectory:
         return self.values[:, 2].real
 
 
+def _integrate(gen: BlochGenerator, y0: np.ndarray, t0: float, t1: float,
+               tol: float, t_eval=None):
+    """Solve dY/dt = M(t) Y + b e_last^T from Y(t0) = y0, a 3 x c state whose
+    last column carries the constant term, by DOP853 (Dormand-Prince 8(5,3))
+    with rtol = tol and atol = tol / 100.  Returns the sample times and the
+    states, shape (n, 3, c).  Raises :class:`IntegrationError` if the step
+    size underflows."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("need finite t0 < t1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    shape = y0.shape
+    b = gen.inhomogeneous
+
+    def rhs(t, y):
+        out = gen.matrix(t) @ y.reshape(shape)
+        out[:, -1] += b
+        return out.reshape(-1)
+
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(rhs, (t0, t1), y0.reshape(-1), method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, t_eval=t_eval)
+    if not sol.success:
+        raise IntegrationError(f"Bloch integration failed: {sol.message}",
+                               t_last=float(sol.t[-1]) if sol.t.size else t0)
+    return sol.t, sol.y.T.reshape(-1, *shape)
+
+
 def propagate(gen: BlochGenerator, initial: BlochState, t0: float, t1: float,
               tol: float = 1e-9, t_eval=None) -> BlochTrajectory:
-    """Integrate dx/dt = M(t) x + b from t0 to t1 with local error below tol.
+    """Integrate dx/dt = M(t) x + b from t0 to t1 by DOP853 with local error
+    below tol.
 
     Returns the sampled trajectory including both endpoints.  Raises
     :class:`IntegrationError` if the step size underflows.
     """
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(gen.rhs, (t0, t1), initial.as_vector(), method="RK45",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        raise IntegrationError(f"Bloch integration failed: {sol.message}",
-                               t_last=float(sol.t[-1]) if sol.t.size else t0)
-    return BlochTrajectory(sol.t, sol.y.T.copy())
+    t, y = _integrate(gen, initial.as_vector()[:, None], t0, t1, tol, t_eval)
+    return BlochTrajectory(t, y[:, :, 0])
 
 
 def static_steady_state(gen: BlochGenerator) -> np.ndarray:
@@ -368,18 +387,6 @@ def _floquet_residual(gen: BlochGenerator, harmonics: np.ndarray) -> float:
     return float(np.abs(r).sum(axis=0).max()) / gen.rate_scale
 
 
-def _augmented_rhs(gen: BlochGenerator):
-    """Right-hand side for Y = [Phi | p] as a flattened 3x4 system."""
-    b = gen.inhomogeneous
-
-    def rhs(t, y):
-        out = gen.matrix(t) @ y.reshape(3, 4)
-        out[:, 3] += b
-        return out.reshape(-1)
-
-    return rhs
-
-
 def periodic_fundamental(gen: BlochGenerator, n_samples: int,
                          tol: float = 1e-12):
     """(Phi, p) sampled at j * period / n_samples for j = 0 .. n_samples.
@@ -390,23 +397,15 @@ def periodic_fundamental(gen: BlochGenerator, n_samples: int,
     matrix and one-period inhomogeneous response) extend these arrays to
     arbitrary horizons without further integration.
     """
-    y0 = np.zeros(12, dtype=complex)
-    y0[[0, 5, 10]] = 1.0
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    y0 = np.eye(3, 4, dtype=complex)   # [I | 0]
     ts = np.linspace(0.0, gen.period, n_samples + 1)
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(_augmented_rhs(gen), (0.0, gen.period), y0,
-                    method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=ts)
-    if not sol.success:
-        raise IntegrationError(
-            f"one-period fundamental integration failed: {sol.message}",
-            t_last=float(sol.t[-1]) if sol.t.size else 0.0)
-    y = sol.y.T.reshape(-1, 3, 4)
+    _, y = _integrate(gen, y0, 0.0, gen.period, tol, ts)
     return y[:, :, :3], y[:, :, 3]
 
 
 def monodromy(gen: BlochGenerator, tol: float = 1e-10) -> np.ndarray:
     """Fundamental solution of the homogeneous system over one period."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     phi, _ = periodic_fundamental(gen, 1, tol=tol)
     return phi[-1]

@@ -530,12 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sawmollow",
         description=("Resonance fluorescence, dressed-state lines, and "
                      "phonon cooling of an acoustically modulated two-level "
-                     "emitter"))
+                     "emitter"), allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags, own) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(func=func)
         for flag in flags:
@@ -550,7 +550,7 @@ def _with_config(argv: list) -> list:
     """argv with the `key = value` lines of the command's --config file
     inserted as --key=value flags right after the command, so that argparse
     converts and checks them as flags and the command line wins."""
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("command", nargs="?")
     # nargs="?": build_parser's parser reports a missing value, with usage.
     probe.add_argument("--config", nargs="?")

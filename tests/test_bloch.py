@@ -121,7 +121,6 @@ class TestPropagate:
         x_static = static_steady_state(gen)
         assert 0.5 * (1.0 + x_static[2].real) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.slow
     def test_limit_cycle_periodicity(self, emitter, drive_resonant):
         gen = BlochGenerator(drive_resonant, emitter)
         g = emitter.gamma.rad
@@ -147,10 +146,14 @@ class TestPropagate:
         for i in range(len(traj)):
             assert traj.state(i).bloch_norm() <= 1.0 + 1e-9
 
-    def test_rejects_bad_interval(self, emitter, drive_resonant):
+    @pytest.mark.parametrize("t0, t1, tol", [
+        (1.0, 0.5, 1e-9), (0.0, math.inf, 1e-9), (math.nan, 1e-9, 1e-9),
+        (0.0, 1e-9, 0.0), (0.0, 1e-9, math.nan)])
+    def test_rejects_bad_interval(self, emitter, drive_resonant, t0, t1, tol):
+        """An infinite horizon or a zero tolerance would never finish."""
         gen = BlochGenerator(drive_resonant, emitter)
         with pytest.raises(ValueError):
-            propagate(gen, BlochState.ground(), 1.0, 0.5)
+            propagate(gen, BlochState.ground(), t0, t1, tol=tol)
 
     def test_gamma_zero_allowed_in_propagation(self):
         emitter = EmitterParams(Frequency.from_ghz(1e-12))
@@ -197,7 +200,6 @@ class TestFloquet:
         ode_avg = np.trapezoid(rho, traj.times) / (ts[-1] - ts[0])
         assert sol.mean_rho_ee == pytest.approx(ode_avg, rel=1e-6)
 
-    @pytest.mark.slow
     def test_matches_trajectory_pointwise_after_transient(self, emitter,
                                                           drive_resonant):
         gen = BlochGenerator(drive_resonant, emitter)
@@ -430,6 +432,21 @@ class TestFundamentalSolution:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("n_samples, tol", [(0, 1e-12), (-1, 1e-12),
+                                                (4, 0.0), (4, -1e-9)])
+    def test_periodic_fundamental_rejects_bad_input(self, emitter,
+                                                    drive_resonant,
+                                                    n_samples, tol):
+        """No samples gave Phi = I, a negative count an AttributeError and a
+        zero tolerance a solve that did not finish."""
+        gen = BlochGenerator(drive_resonant, emitter)
+        with pytest.raises(ValueError):
+            periodic_fundamental(gen, n_samples, tol=tol)
+
+    def test_monodromy_rejects_nonpositive_tol(self, emitter, drive_resonant):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            monodromy(BlochGenerator(drive_resonant, emitter), tol=0.0)
+
     @pytest.mark.parametrize("cls, field", [(ConvergenceError, "residual"),
                                             (IntegrationError, "t_last")])
     def test_pickle_round_trip_keeps_message_and_field(self, cls, field):

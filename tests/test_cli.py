@@ -75,7 +75,6 @@ def assert_succeeds_or_exits_2(args, out):
 
 
 class TestSelftest:
-    @pytest.mark.slow
     def test_passes(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -412,6 +411,16 @@ class TestSpectrumCommand:
             with pytest.raises(SystemExit) as exc:
                 run([command, "--n-phase", 16, "--out", tmp_path / "x.csv"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("prefix", ["--nod", "--poi"])
+    def test_flag_prefixes_are_rejected(self, tmp_path, capsys, prefix):
+        """A prefix of --nodes or --points is not taken for the flag, as the
+        same key in a --config file is not."""
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", *TINY["spectrum"][:4], prefix, 3, "--out", out])
+        assert exc.value.code == 2 and not out.exists()
+        assert f"unrecognized arguments: {prefix} 3" in capsys.readouterr().err
 
     def test_runaway_fock_growth_exits_3(self, tmp_path, capsys):
         """A mode heated past every Fock size the solve may try."""
