@@ -17,11 +17,11 @@ cycle.  Three routes into it live here:
 * :func:`propagate` -- adaptive direct integration (transients, oracles);
   one DOP853 integrator, :func:`_integrate`, serves it and the fundamental
   matrix below;
-* :func:`floquet_steady_state` -- harmonic balance: insert
-  x(t) = sum_k x_k exp(i k omega_S t), couple k <-> k+-1 through the cosine,
-  solve for the harmonics by a matrix continued fraction (:func:`_sambe_solve`,
-  shared with the spectrum module's resolvent), and judge them by the
-  residual of those same equations, applied forward;
+* :func:`floquet_steady_state` -- harmonic balance: insert x(t) = sum_k x_k
+  exp(i k omega_S t), couple k <-> k+-1 through the cosine, solve for the
+  +k harmonics (the -k ones are their mirror) by a matrix continued fraction
+  (:func:`_sambe_solve`, shared with the spectrum module's resolvent), and
+  judge them by the residual of those same equations, applied forward;
 * :func:`monodromy` -- fundamental matrix over one period (stability);
   :func:`periodic_fundamental`, its sampled form, is the backbone of the
   time-domain correlator oracle in tests/correlator_oracle.py.
@@ -121,7 +121,7 @@ class BlochGenerator:
              [0.0, 1j * d - 0.5 * g, 0.5j * wl],
              [-1j * wl, 1j * wl, -g]], dtype=complex)
         self.modulation_part = np.diag(
-            [2j * drive.rabi_S.rad, -2j * drive.rabi_S.rad, 0.0]).astype(complex)
+            [2j * drive.rabi_S.rad, -2j * drive.rabi_S.rad, 0j])
         self.inhomogeneous = np.array([0.0, 0.0, -g], dtype=complex)
         # Rate scale used to normalize residuals.
         self.rate_scale = max(g, wl, self._two_rabi_s, abs(d), self._omega_s)
@@ -259,7 +259,9 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     components (s+, s-, s_z) of the central block, and for the +k and -k
     tails the factors (K^-1 entries i00, i01, i10, i11, q_p, q_m, 1/z) of
     orders 1..n, from which (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
-    s_z = (d_z - i rabi_L m) / z give every other block.
+    s_z = (d_z - i rabi_L m) / z give every other block.  For a float s and
+    D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-; S P S = P), G_-k =
+    S conj(G_k) S: the -k tail mirrors the +k one; it is not run, lower = [].
     """
     n = (len(d) - 1) // 2
     g = gen.emitter.gamma.rad
@@ -271,10 +273,16 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     wl2 = wl * wl
     rows = d.tolist()
     upper, lower = [], []
+    mirror = (isinstance(s, float) and rows.count([0j, 0j, 0j]) == 2 * n
+              and rows[n][0] == rows[n][1].conjugate() and not rows[n][2].imag)
     # Each tail runs inward carrying P K^-1 P (s0..s3) and P q (pq0, pq1);
-    # the -k tail ends at k = 0, which adds what the +k tail carried (c).
-    for factors, orders in ((upper, range(n, 0, -1)), (lower, range(-n, 1))):
+    # the -k tail, or in the mirror case c mirrored, meets c at k = 0.
+    for factors, orders in ((upper, range(n, 0, -1)),
+                            (lower, range(0 if mirror else -n, 1))):
         s0 = s1 = s2 = s3 = pq0 = pq1 = 0.0
+        if mirror and factors is lower:
+            v = [x.conjugate() for x in c]
+            s0, s1, s2, s3, pq0, pq1 = v[0], -v[1], -v[2], v[3], v[4], -v[5]
         for k in orders:
             if not k:
                 s0, s1, s2, s3 = s0 + c[0], s1 + c[1], s2 + c[2], s3 + c[3]
@@ -326,11 +334,12 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         (A - i k w I) x_k + (B/2) x_{k-1} + (B/2) x_{k+1} = -b delta_k0,
 
     that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
-    Its continued fraction gives x_0, and back-substitution outward gives
-    x_{+-1}, x_{+-2}, ...  The truncation, from min(n_harmonics,
-    _MAX_HARMONICS), doubles until the residual of these equations
-    (:func:`_floquet_residual`) is <= tol; past _MAX_HARMONICS it raises
-    :class:`ConvergenceError`, at a non-finite (overflowing) one DomainError.
+    Its continued fraction gives x_0, back-substitution x_1, x_2, ..., and
+    the mirror (see :func:`_sambe_solve`) x_-k = conj (x_k,-, x_k,+, x_k,z).
+    The truncation, from min(n_harmonics, _MAX_HARMONICS), doubles until the
+    residual of these equations (:func:`_floquet_residual`) is <= tol; past
+    _MAX_HARMONICS it raises :class:`ConvergenceError`, at a non-finite
+    (overflowing) one DomainError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -348,17 +357,17 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     while True:
         d = np.zeros((2 * n + 1, 3), dtype=complex)
         d[n] = gen.inhomogeneous
-        y0, upper, lower = _sambe_solve(gen, d, 0.0)
+        y0, upper, _ = _sambe_solve(gen, d, 0.0)
         rows = [y0] * (2 * n + 1)
-        for sign, factors in ((1, upper), (-1, lower)):
-            p, m = y0[0] + y0[1], y0[0] - y0[1]
-            for j, (i00, i01, i10, i11, q_p, q_m, inv_z) in enumerate(factors, 1):
-                hm, hp = h * m, h * p
-                p = q_p - (i00 * hm + i01 * hp)
-                m = q_m - (i10 * hm + i11 * hp)
-                # d_z vanishes off k = 0.
-                rows[n + sign * j] = (0.5 * (p + m), 0.5 * (p - m),
-                                      -1j * wl * m * inv_z)
+        p, m = y0[0] + y0[1], y0[0] - y0[1]
+        for j, (i00, i01, i10, i11, q_p, q_m, inv_z) in enumerate(upper, 1):
+            hm, hp = h * m, h * p
+            p = q_p - (i00 * hm + i01 * hp)
+            m = q_m - (i10 * hm + i11 * hp)
+            # d_z vanishes off k = 0; x_-k is the mirror of x_k.
+            sp, sm, sz = 0.5 * (p + m), 0.5 * (p - m), -1j * wl * m * inv_z
+            rows[n + j] = (sp, sm, sz)
+            rows[n - j] = (sm.conjugate(), sp.conjugate(), sz.conjugate())
         x = np.array(rows, dtype=complex)
         residual = _floquet_residual(gen, x)
         if residual <= tol:
@@ -382,7 +391,7 @@ def _floquet_residual(gen: BlochGenerator, harmonics: np.ndarray) -> float:
     x[2:-2] = harmonics
     ikw = 1j * gen._omega_s * np.arange(-n - 1, n + 2)
     r = (ikw[:, None] * x[1:-1] - x[1:-1] @ gen.static_part.T
-         - (x[:-2] + x[2:]) @ (0.5 * gen.modulation_part.T))
+         - (x[:-2] + x[2:]) * (0.5 * gen.modulation_part.diagonal()))
     r[n + 1] -= gen.inhomogeneous
     return float(np.abs(r).sum(axis=0).max()) / gen.rate_scale
 

@@ -525,7 +525,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given one, only its flags are added."""
     parser = argparse.ArgumentParser(
         prog="sawmollow",
         description=("Resonance fluorescence, dressed-state lines, and "
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(func=func)
-        for flag in flags:
+        for flag in flags if command in (None, name) else ():
             kw = {k: v for k, v in FLAGS[flag].items() if k != "unit"}
             value = own.get(flag, {})
             kw.update(value if isinstance(value, dict) else {"default": value})
@@ -606,7 +607,7 @@ def _report(kind: str, exc: BaseException) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(_with_config(argv))
         _check_frequency_flags(args)

@@ -41,9 +41,10 @@ def time_domain_residual(gen, sol, n_points=4096):
     return float(np.max(np.abs(res))) / gen.rate_scale
 
 
-def dense_harmonic_balance(gen, n):
+def dense_harmonic_balance(gen, n, d=None):
     """Harmonics x_{-n..n} from one dense solve of the harmonic-balance
-    system (A - i k w) x_k + (B/2)(x_{k-1} + x_{k+1}) = -b delta_k0."""
+    system (A - i k w) x_k + (B/2)(x_{k-1} + x_{k+1}) = -d_k, that is of
+    (0 - L) x = d; d defaults to b delta_k0, which gives the limit cycle."""
     w = gen.drive.omega_S.rad
     size = 2 * n + 1
     op = np.zeros((size, 3, size, 3), dtype=complex)
@@ -53,9 +54,10 @@ def dense_harmonic_balance(gen, n):
             op[j, :, j - 1] = 0.5 * gen.modulation_part
         if j < size - 1:
             op[j, :, j + 1] = 0.5 * gen.modulation_part
-    rhs = np.zeros((size, 3), dtype=complex)
-    rhs[n] = -gen.inhomogeneous
-    x = np.linalg.solve(op.reshape(3 * size, 3 * size), rhs.reshape(-1))
+    if d is None:
+        d = np.zeros((size, 3), dtype=complex)
+        d[n] = gen.inhomogeneous
+    x = np.linalg.solve(op.reshape(3 * size, 3 * size), -d.reshape(-1))
     return x.reshape(size, 3)
 
 
@@ -340,6 +342,68 @@ class TestHarmonicBalanceOracle:
             cfg = DriveConfig.from_ghz(rng.uniform(-5, 5), rng.uniform(0, 8),
                                        rng.uniform(0, 3), rng.uniform(1.5, 6))
             self.check(emitter, cfg, default_harmonics(cfg))
+
+
+def mirror_cases(rng):
+    """(drive, order) of 40 seeded drives, then of the DENSE_CASES."""
+    for _ in range(40):
+        cfg = DriveConfig.from_ghz(rng.uniform(-5, 5), rng.uniform(0, 8),
+                                   rng.uniform(0, 3), rng.uniform(1.5, 6))
+        yield cfg, default_harmonics(cfg)
+    for drive, n in DENSE_CASES.values():
+        cfg = DriveConfig.from_ghz(*drive)
+        yield cfg, n or default_harmonics(cfg)
+
+
+class TestMirroredTail:
+    """At real s, with D = d0 delta_k0 and d0 = S conj d0 (S swaps s+ and
+    s-), _sambe_solve eliminates the +k tail only: the -k one is its mirror.
+    A complex s, or any other D, takes both tails."""
+
+    def test_one_tail_equals_two_tails_bitwise(self, emitter, rng):
+        for cfg, n in mirror_cases(rng):
+            gen = BlochGenerator(cfg, emitter)
+            d = np.zeros((2 * n + 1, 3), dtype=complex)
+            d[n] = gen.inhomogeneous
+            y0, upper, lower = bloch._sambe_solve(gen, d, 0.0)
+            y0_two, upper_two, lower_two = bloch._sambe_solve(gen, d, 0j)
+            assert y0 == y0_two and upper == upper_two
+            assert lower == [] and len(lower_two) == n
+
+    def test_limit_cycle_is_its_own_mirror(self, emitter, rng):
+        """x_-k = S conj x_k exactly, k = 0 included: s-(t) = conj s+(t)
+        and s_z(t) is real."""
+        for cfg, n in mirror_cases(rng):
+            sol = floquet_steady_state(BlochGenerator(cfg, emitter), n,
+                                       tol=math.inf)
+            x = sol.harmonics
+            assert np.array_equal(x[::-1], x[:, [1, 0, 2]].conj())
+
+    @pytest.mark.parametrize("name", ["centre", "centre_z", "off_centre",
+                                      "mirrored"])
+    def test_asymmetric_source_takes_both_tails(self, emitter, name):
+        cfg = DriveConfig.from_ghz(-1.3, 2.9, 1.75, 3.5299)
+        gen = BlochGenerator(cfg, emitter)
+        n = default_harmonics(cfg)
+        d = np.zeros((2 * n + 1, 3), dtype=complex)
+        d[n] = gen.inhomogeneous
+        if name == "centre":       # d0 != S conj d0
+            d[n] = (1.0 + 2.0j, 0.3 - 1.0j, 0.5 + 0.7j)
+        elif name == "centre_z":   # d0[0] = conj d0[1], d0[2] not real
+            d[n] = (0.3 - 1.0j, 0.3 + 1.0j, 0.5 + 0.7j)
+        elif name == "off_centre":
+            d[n + 1] = (0.2j, 0.4, -0.1)
+        else:                      # mirror-symmetric, but not at k = 0 only
+            d[n + 2] = (0.2j, 0.4, -0.1 + 0.3j)
+            d[n - 2] = d[n + 2][[1, 0, 2]].conj()
+        d *= gen.rate_scale
+        ref = dense_harmonic_balance(gen, n, d)[n]
+        y0, _, lower = bloch._sambe_solve(gen, d, 0.0)
+        y0_two, _, _ = bloch._sambe_solve(gen, d, 0j)
+        assert len(lower) == n
+        assert np.max(np.abs(np.array(y0) - ref)) <= \
+            1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(y0, y0_two)
 
 
 class TestMonodromy:

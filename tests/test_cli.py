@@ -960,6 +960,44 @@ class TestOutputEscaping:
         assert str(data) not in out.read_text()
 
 
+class TestParserPerCommand:
+    """main builds the flags of the chosen command only; what argparse
+    prints, and how it exits, stays that of the parser of every command."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("tail", [["--help"], ["--no-such-flag"],
+                                      ["--out"], ["--format", "xml"]])
+    def test_command_matches_the_full_parser(self, command, tail):
+        argv = [command, *tail]
+        full = self.outcome(build_parser().parse_args, argv)
+        assert self.outcome(build_parser(command).parse_args, argv) == full
+        assert self.outcome(main, argv) == full
+        if tail == ["--help"]:
+            assert full[0] == 0 and full[1].startswith("usage: sawmollow ")
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"],
+                                      ["no-such-command"],
+                                      ["--out", "x", "spectrum"]])
+    def test_top_level_matches_the_full_parser(self, argv):
+        assert self.outcome(main, argv) == \
+            self.outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_other_commands_get_no_flags(self, command):
+        other = "cooling-map" if command == "spectrum" else "spectrum"
+        code, _, err = self.outcome(build_parser(command).parse_args,
+                                    [other, "--out", "x.csv"])
+        assert code == 2 and "unrecognized arguments: --out x.csv" in err
+
+
 class TestReadme:
     def test_command_line_examples_parse(self):
         """Every `sawmollow ...` line of README's command-line block, with
