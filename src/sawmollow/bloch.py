@@ -237,7 +237,7 @@ class FloquetSolution:
         return 0.5 * (1.0 + float(sz0.real))
 
 
-def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
+def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     """Central block of (s - L)^-1 D by a matrix continued fraction.
 
     L is the harmonic-balance (Sambe-space) operator of the Bloch equations:
@@ -255,23 +255,26 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
     q = K^-1 r (Risken, The Fokker-Planck Equation, ch. 9).
 
     s is a scalar, evaluated with Python complex arithmetic, or an array,
-    over which every step is vectorized.  Returns (y0, upper, lower): the
-    components (s+, s-, s_z) of the central block, and for the +k and -k
-    tails the factors (K^-1 entries i00, i01, i10, i11, q_p, q_m, 1/z) of
-    orders 1..n, from which (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
+    over which every step is vectorized; then d may carry a node axis,
+    (2n + 1, 3, nodes, 1), with delta the (nodes, 1) column of detunings.
+    Returns (y0, upper, lower): the components (s+, s-, s_z) of the central
+    block, and for a scalar s only, for the +k and -k tails, the factors
+    (K^-1 entries i00, i01, i10, i11, q_p, q_m, 1/z) of orders 1..n, from
+    which (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
     s_z = (d_z - i rabi_L m) / z give every other block.  For a float s and
     D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-; S P S = P), G_-k =
     S conj(G_k) S: the -k tail mirrors the +k one; it is not run, lower = [].
     """
     n = (len(d) - 1) // 2
     g = gen.emitter.gamma.rad
-    i_delta = 1j * gen.drive.delta.rad
+    i_delta = 1j * (gen.drive.delta.rad if delta is None else delta)
     wl = gen.drive.rabi_L.rad
     w = gen.drive.omega_S.rad
     h = -1j * gen.drive.rabi_S.rad
     rs2 = gen.drive.rabi_S.rad ** 2
     wl2 = wl * wl
-    rows = d.tolist()
+    rows = d.tolist() if d.ndim == 2 else d
+    store = not isinstance(s, np.ndarray)
     upper, lower = [], []
     mirror = (isinstance(s, float) and rows.count([0j, 0j, 0j]) == 2 * n
               and rows[n][0] == rows[n][1].conjugate() and not rows[n][2].imag)
@@ -302,16 +305,17 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s):
             i10, i11 = -k10 * inv_det, k00 * inv_det
             q0 = i00 * r0 + i01 * r1
             q1 = i10 * r0 + i11 * r1
-            factors.append((i00, i01, i10, i11, q0, q1, inv_z))
+            if store and k:
+                factors.append((i00, i01, i10, i11, q0, q1, inv_z))
             # P M P = h^2 [[M11, M10], [M01, M00]], h^2 = -rabi_S^2.
             s0, s1, s2, s3 = -rs2 * i11, -rs2 * i10, -rs2 * i01, -rs2 * i00
             pq0, pq1 = h * q1, h * q0
         c = (s0, s1, s2, s3, pq0, pq1)
-    *_, p0, m0, inv_z = lower.pop()
+    # k = 0 is the last order eliminated: q holds the central (p, m).
     upper.reverse()
     lower.reverse()
-    y_z = (rows[n][2] - 1j * wl * m0) * inv_z
-    return (0.5 * (p0 + m0), 0.5 * (p0 - m0), y_z), upper, lower
+    y_z = (rows[n][2] - 1j * wl * q1) * inv_z
+    return (0.5 * (q0 + q1), 0.5 * (q0 - q1), y_z), upper, lower
 
 
 def default_harmonics(drive: DriveConfig) -> int:

@@ -21,7 +21,8 @@ incoherent spectrum is therefore exactly
 with D the harmonics of d (Sambe, PRA 7, 2203 (1973)).
 :func:`resolvent_spectrum` solves only the central block with the matrix
 continued fraction that also gives the limit cycle,
-:func:`sawmollow.bloch._sambe_solve`, vectorized over any frequency grid.
+:func:`sawmollow.bloch._sambe_solve`, vectorized over any frequency grid
+and over a drive's diffusion nodes (one call per truncation order).
 
 The plateau's harmonics become delta lines at multiples of the acoustic
 frequency, recorded as discrete coherent weights on the Spectrum.
@@ -119,27 +120,42 @@ def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
     converged at; the coherent plateau is carried as delta weights
     Re(m_k s+_{-k}) at k omega_S, m_k being the s- harmonics.  freqs are
     offsets from the laser in rad/s, strictly increasing (not necessarily
-    uniform).
+    uniform).  This is the one-node case of :func:`_node_spectra`.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
         raise ValueError("freqs must be a strictly increasing 1-d grid")
-    gen = BlochGenerator(config, emitter)
-    fs = floquet_steady_state(gen, tol=floquet_tol)
-    y0, _, _ = _sambe_solve(gen, _regression_source(fs), -1j * freqs)
-    intensity = y0[1].real / math.pi
+    return _unwrap(_node_spectra([config], emitter, freqs, floquet_tol)[0])
 
-    trough = float(np.min(intensity))
-    intensity = _clip(intensity)
 
-    rho_ee_bar = fs.mean_rho_ee
-    coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
-    keep = coh_w > 1e-14 * max(rho_ee_bar, 1e-300)
-    meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
-            "rho_ee_bar": rho_ee_bar, "min_intensity_preclip": trough}
-    return Spectrum(freqs, intensity, config,
-                    coherent_freqs=fs.orders[keep] * config.omega_S.rad,
-                    coherent_weights=coh_w[keep], meta=meta)
+def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol) -> list:
+    """Outcomes (:func:`_outcomes`) of the spectra of one drive's diffusion
+    nodes on a valid grid: a limit cycle per node, then one batched
+    resolvent solve per truncation order."""
+    gens = [BlochGenerator(drive, emitter) for drive in drives]
+    cycles = _outcomes(partial(floquet_steady_state, tol=floquet_tol), gens)
+    incoherent = {}
+    for n in {fs.n_harmonics for ok, fs in cycles if ok}:
+        ks = [k for k, (ok, fs) in enumerate(cycles)
+              if ok and fs.n_harmonics == n]
+        d = np.stack([_regression_source(cycles[k][1]) for k in ks], axis=-1)
+        delta = np.array([[drives[k].delta.rad] for k in ks])
+        y0, _, _ = _sambe_solve(gens[ks[0]], d[..., None], -1j * freqs, delta)
+        incoherent.update(zip(ks, y0[1].real / math.pi))
+
+    def spectrum(k):
+        fs = _unwrap(cycles[k])
+        rho_ee_bar, intensity = fs.mean_rho_ee, incoherent[k]
+        coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
+        keep = coh_w > 1e-14 * max(rho_ee_bar, 1e-300)
+        meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
+                "rho_ee_bar": rho_ee_bar,
+                "min_intensity_preclip": float(np.min(intensity))}
+        return Spectrum(freqs, _clip(intensity), fs.drive,
+                        coherent_freqs=fs.orders[keep] * fs.drive.omega_S.rad,
+                        coherent_weights=coh_w[keep], meta=meta)
+
+    return _outcomes(spectrum, range(len(drives)))
 
 
 def _diffusion_nodes(fwhm_rad: float, n_nodes: int):
@@ -166,6 +182,14 @@ def _outcomes(fn, items) -> list:
         except Exception as exc:  # aggregate, do not stop the sweep
             out.append((False, exc))
     return out
+
+
+def _unwrap(outcome):
+    """The result of an outcome of :func:`_outcomes`, or its failure raised."""
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
 
 
 def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
@@ -203,15 +227,19 @@ def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
     return [result for _, result in outcomes]
 
 
+def _at_nodes(kernel, offsets, drive):
+    """kernel at drive shifted to each offset; the node drives die with it."""
+    return kernel([drive.replace_delta(drive.delta.rad + o) for o in offsets])
+
+
 def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
-    """kernel(drive) at every drive shifted to every detuning offset of
-    :func:`_diffusion_nodes`, as one flat :func:`_sweep` over drives x
-    nodes; returns each drive's node results in node order.  A failure's
-    note names the drive's index and the node."""
+    """Each drive's node results: kernel maps the drive shifted to every
+    offset of :func:`_diffusion_nodes` to an outcome per node, swept over
+    drives; the note names a failing node by drive index and node."""
     n = len(offsets)
-    shifted = [drive.replace_delta(drive.delta.rad + off)
-               for drive in drives for off in offsets]
-    results = _sweep(kernel, shifted, jobs,
+    at_nodes = partial(_at_nodes, kernel, offsets)
+    outcomes = [o for outs in _sweep(at_nodes, drives, jobs) for o in outs]
+    results = _sweep(_unwrap, outcomes,
                      where=lambda i: f"index {i // n}, node {i % n}")
     return [results[i:i + n] for i in range(0, len(results), n)]
 
@@ -337,7 +365,7 @@ def spectrum_map(sweep, emitter: EmitterParams,
     and a window wider than the etalon's free spectral range
     :class:`AliasingError`, before any spectrum is computed.  Every drive
     runs at every diffusion node through :func:`_node_sweep` (jobs > 1
-    spreads the nodes over worker processes), then the node spectra are
+    spreads the drives over worker processes), then the node spectra are
     averaged and folded with the etalon.
     """
     sweep = list(sweep)
@@ -350,7 +378,7 @@ def spectrum_map(sweep, emitter: EmitterParams,
                                         pipeline.n_diffusion_nodes)
     if model.etalon_fwhm.rad > 0:
         _check_etalon_window(float(freqs[-1] - freqs[0]), model)
-    kernel = partial(resolvent_spectrum, emitter=emitter, freqs=freqs,
+    kernel = partial(_node_spectra, emitter=emitter, freqs=freqs,
                      floquet_tol=pipeline.floquet_tol)
     specs = [apply_spectral_diffusion(nodes, weights, drive) for drive, nodes
              in zip(sweep, _node_sweep(kernel, sweep, offsets, jobs))]

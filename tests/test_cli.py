@@ -824,6 +824,31 @@ class TestConfigRoundTrip:
             == outs[2].read_bytes()
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool by one that records its size and runs its
+    tasks inline; returns the list of recorded sizes."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started
+
+
 class TestJobsEnvironment:
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         args = ["spectrum-map", "--sweep", "delta", "--sweep-start", -1,
@@ -849,41 +874,37 @@ class TestJobsEnvironment:
     @pytest.mark.parametrize("affinity, cpu_count, workers", [
         ({0, 1}, 8, [2]), (None, 3, [3]), (None, None, [])])
     def test_workers_are_capped_at_usable_cpus(self, tmp_path, monkeypatch,
-                                               affinity, cpu_count, workers):
+                                               pool_sizes, affinity,
+                                               cpu_count, workers):
         """--jobs 3000 starts no more workers than the CPUs the process
         may use (one CPU: no pool), and writes the serial run's bytes.  The
         pool is replaced by one that records its size and runs inline."""
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers, mp_context=None):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
         args = ["cooling-map", "--delta-points", 3, "--rabi-points", 2,
                 "--nodes", 3]
         serial, capped = tmp_path / "j1.csv", tmp_path / "j3000.csv"
         assert run(args + ["--jobs", 1, "--out", serial]) == 0
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         assert run(args + ["--jobs", 3000, "--out", capped]) == 0
-        assert started == workers
+        assert pool_sizes == workers
         assert serial.read_bytes() == capped.read_bytes()
+
+    def test_one_drive_spectrum_starts_no_pool(self, tmp_path, monkeypatch,
+                                               pool_sizes):
+        """The sweep items are drives, so the diffusion nodes of a single
+        spectrum run in one process even with --jobs 2 on two CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        args = ["spectrum", "--diffusion-mhz", 678, "--window-ghz", 4,
+                "--points", 41]
+        serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
+        assert run(args + ["--jobs", 1, "--out", serial]) == 0
+        assert run(args + ["--jobs", 2, "--out", parallel]) == 0
+        assert pool_sizes == []
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
         """The library rejects jobs < 1 before any solve."""

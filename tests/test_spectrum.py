@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from sawmollow.spectrum import (
     InstrumentModel,
     SpectrumPipelineConfig,
     _diffusion_nodes,
+    _node_spectra,
     _node_sweep,
+    _outcomes,
     _regression_source,
     _sweep,
     apply_etalon,
@@ -295,6 +298,80 @@ class TestResolventSpectrum:
                                    np.asarray(freqs) * GHZ)
 
 
+# Drive and diffusion FWHM (GHz): the oracle drives, and one whose nodes
+# converge at two truncation orders.
+NODE_DRIVES = {**{name: (drive, 0.678) for name, drive in ORACLE_DRIVES.items()},
+               "mixed_orders": ((0.0, 3.5299, 2.5), 1.5)}
+
+
+class TestBatchedNodes:
+    """All diffusion nodes of one drive in one continued-fraction call per
+    truncation order."""
+
+    freqs = np.linspace(-9.0, 9.0, 201) * GHZ
+
+    @staticmethod
+    def node_drives(name):
+        drive, fwhm = NODE_DRIVES[name]
+        drive = DriveConfig.from_ghz(*drive, 3.5299)
+        offsets, _ = _diffusion_nodes(fwhm * GHZ, 21)
+        return [drive.replace_delta(drive.delta.rad + off) for off in offsets]
+
+    @pytest.mark.parametrize("name", sorted(NODE_DRIVES))
+    def test_one_call_equals_a_call_per_node_bitwise(self, emitter, name):
+        nodes = self.node_drives(name)
+        gens = [BlochGenerator(drive, emitter) for drive in nodes]
+        sources = [_regression_source(floquet_steady_state(gen))
+                   for gen in gens]
+        orders = sorted({len(d) // 2 for d in sources})
+        if name == "mixed_orders":
+            assert len(orders) == 2
+        s = -1j * self.freqs
+        for n in orders:
+            ks = [k for k, d in enumerate(sources) if len(d) // 2 == n]
+            d = np.stack([sources[k] for k in ks], axis=-1)[..., None]
+            delta = np.array([[nodes[k].delta.rad] for k in ks])
+            batch, upper, lower = _sambe_solve(gens[ks[0]], d, s, delta)
+            assert upper == [] and lower == []
+            for j, k in enumerate(ks):
+                single, _, _ = _sambe_solve(gens[k], sources[k], s)
+                for a, b in zip(batch, single):
+                    assert a[j].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["mixed_orders", "rabi_resonance"])
+    def test_resolvent_spectrum_is_the_one_node_case(self, emitter, name):
+        nodes = self.node_drives(name)
+        outcomes = _node_spectra(nodes, emitter, self.freqs, 1e-10)
+        for drive, (ok, spec) in zip(nodes, outcomes):
+            one = resolvent_spectrum(drive, emitter, self.freqs)
+            assert ok and spec.drive is drive
+            assert spec.intensity.tobytes() == one.intensity.tobytes()
+            assert spec.coherent_freqs.tobytes() == one.coherent_freqs.tobytes()
+            assert (spec.coherent_weights.tobytes()
+                    == one.coherent_weights.tobytes())
+            assert spec.meta == one.meta
+
+    def test_failing_node_leaves_the_others(self, emitter, monkeypatch):
+        """A node whose limit cycle fails keeps its exception; the other
+        nodes of the drive still get their spectra."""
+        import sawmollow.spectrum as spectrum
+        nodes = self.node_drives("rabi_resonance")[:3]
+        solve = spectrum.floquet_steady_state
+
+        def failing_middle(gen, **kwargs):
+            if gen.drive is nodes[1]:
+                raise ConvergenceError("forced", residual=1.0)
+            return solve(gen, **kwargs)
+
+        monkeypatch.setattr(spectrum, "floquet_steady_state", failing_middle)
+        outcomes = _node_spectra(nodes, emitter, self.freqs, 1e-10)
+        assert [ok for ok, _ in outcomes] == [True, False, True]
+        assert isinstance(outcomes[1][1], ConvergenceError)
+        monkeypatch.undo()
+        one = resolvent_spectrum(nodes[2], emitter, self.freqs)
+        assert np.array_equal(outcomes[2][1].intensity, one.intensity)
+
+
 class TestSpectralDiffusion:
     def test_zero_width_is_identity(self, emitter, drive_resonant):
         """At zero width the single node of weight 1 keeps the intensity."""
@@ -545,11 +622,29 @@ class TestSweepDriver:
         assert "index 3:" in note and "index 0" not in note
 
     def test_node_sweep_groups_nodes_per_drive(self):
+        """The kernel gets one drive's node drives per call and returns an
+        outcome per node."""
         drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
                               Frequency(1.0)) for d in (0.0, 10.0)]
-        results = _node_sweep(lambda drive: drive.delta.rad, drives,
-                              np.array([-1.0, 0.0, 1.0]))
+        calls = []
+
+        def kernel(nodes):
+            calls.append([drive.delta.rad for drive in nodes])
+            return _outcomes(lambda drive: drive.delta.rad, nodes)
+
+        results = _node_sweep(kernel, drives, np.array([-1.0, 0.0, 1.0]))
         assert results == [[-1.0, 0.0, 1.0], [9.0, 10.0, 11.0]]
+        assert calls == results
+
+    def test_node_sweep_names_each_failing_node(self):
+        drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
+                              Frequency(1.0)) for d in (0.0, 10.0)]
+        kernel = partial(_outcomes, lambda drive: math.sqrt(drive.delta.rad))
+        with pytest.raises(ValueError, match="math domain error") as err:
+            _node_sweep(kernel, drives, np.array([-11.0, 0.0, 1.0]))
+        (note,) = err.value.__notes__
+        assert note == ("2 of 6 sweep point(s) failed: index 0, node 0: "
+                        "math domain error; index 1, node 0: math domain error")
 
     def test_zero_width_is_one_node(self):
         offsets, weights = _diffusion_nodes(0.0, 21)
