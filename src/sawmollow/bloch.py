@@ -255,15 +255,15 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     q = K^-1 r (Risken, The Fokker-Planck Equation, ch. 9).
 
     s is a scalar, evaluated with Python complex arithmetic, or an array,
-    over which every step is vectorized; then d may carry a node axis,
+    over which every step is vectorized; d may then carry a node axis,
     (2n + 1, 3, nodes, 1), with delta the (nodes, 1) column of detunings.
-    Returns (y0, upper, lower): the components (s+, s-, s_z) of the central
-    block, and for a scalar s only, for the +k and -k tails, the factors
-    (K^-1 entries i00, i01, i10, i11, q_p, q_m, 1/z) of orders 1..n, from
-    which (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1} and
-    s_z = (d_z - i rabi_L m) / z give every other block.  For a float s and
-    D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-; S P S = P), G_-k =
-    S conj(G_k) S: the -k tail mirrors the +k one; it is not run, lower = [].
+    Returns (y0, upper, lower): the central block's (s+, s-, s_z) and, with
+    no node axis, the +k and -k tails' factors (K^-1 entries i00, i01,
+    i10, i11, q_p, q_m, 1/z) of orders 1..n, which give every other block:
+    (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1}, s_z = (d_z - i rabi_L m) / z.
+    For a float s and D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-;
+    S P S = P), G_-k = S conj(G_k) S: the -k tail mirrors the +k one; it is
+    not run, lower = [].
     """
     n = (len(d) - 1) // 2
     g = gen.emitter.gamma.rad
@@ -273,8 +273,7 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     h = -1j * gen.drive.rabi_S.rad
     rs2 = gen.drive.rabi_S.rad ** 2
     wl2 = wl * wl
-    rows = d.tolist() if d.ndim == 2 else d
-    store = not isinstance(s, np.ndarray)
+    rows, store = (d.tolist(), True) if d.ndim == 2 else (d, False)
     upper, lower = [], []
     mirror = (isinstance(s, float) and rows.count([0j, 0j, 0j]) == 2 * n
               and rows[n][0] == rows[n][1].conjugate() and not rows[n][2].imag)
@@ -311,10 +310,9 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
             s0, s1, s2, s3 = -rs2 * i11, -rs2 * i10, -rs2 * i01, -rs2 * i00
             pq0, pq1 = h * q1, h * q0
         c = (s0, s1, s2, s3, pq0, pq1)
-    # k = 0 is the last order eliminated: q holds the central (p, m).
     upper.reverse()
     lower.reverse()
-    y_z = (rows[n][2] - 1j * wl * q1) * inv_z
+    y_z = (rows[n][2] - 1j * wl * q1) * inv_z   # k = 0 came last: q = (p, m)_0
     return (0.5 * (q0 + q1), 0.5 * (q0 - q1), y_z), upper, lower
 
 

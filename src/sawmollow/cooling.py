@@ -65,7 +65,7 @@ from .model import (
 )
 from .bloch import (BlochGenerator, ConvergenceError, DegenerateSystemError,
                     floquet_steady_state)
-from .spectrum import _diffusion_nodes, _node_sum, _node_sweep, _outcomes
+from .spectrum import _diffusion_nodes, _node_sum, _node_sweep
 
 
 _TAIL_MASS = 1e-8   # thermal occupation beyond the initial Fock truncation
@@ -179,7 +179,7 @@ def _grid_sweep(kernel, deltas, rabi_Ls, template: DriveConfig, offsets,
         raise ValueError("grid must be nonempty")
     drives = [DriveConfig(Frequency(d), Frequency(wl), template.rabi_S,
                           template.omega_S) for wl in rabi_Ls for d in deltas]
-    results = _node_sweep(partial(_outcomes, kernel), drives, offsets, jobs)
+    results = _node_sweep(partial(map, kernel), drives, offsets, jobs)
     return np.transpose(
         np.reshape(results, (rabi_Ls.size, deltas.size, len(offsets), -1)))
 

@@ -21,8 +21,7 @@ incoherent spectrum is therefore exactly
 with D the harmonics of d (Sambe, PRA 7, 2203 (1973)).
 :func:`resolvent_spectrum` solves only the central block with the matrix
 continued fraction that also gives the limit cycle,
-:func:`sawmollow.bloch._sambe_solve`, vectorized over any frequency grid
-and over a drive's diffusion nodes (one call per truncation order).
+:func:`sawmollow.bloch._sambe_solve`, vectorized over frequencies and nodes.
 
 The plateau's harmonics become delta lines at multiples of the acoustic
 frequency, recorded as discrete coherent weights on the Spectrum.
@@ -125,37 +124,36 @@ def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
         raise ValueError("freqs must be a strictly increasing 1-d grid")
-    return _unwrap(_node_spectra([config], emitter, freqs, floquet_tol)[0])
+    return next(_node_spectra([config], emitter, freqs, floquet_tol))
 
 
-def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol) -> list:
-    """Outcomes (:func:`_outcomes`) of the spectra of one drive's diffusion
-    nodes on a valid grid: a limit cycle per node, then one batched
-    resolvent solve per truncation order."""
-    gens = [BlochGenerator(drive, emitter) for drive in drives]
-    cycles = _outcomes(partial(floquet_steady_state, tol=floquet_tol), gens)
-    incoherent = {}
-    for n in {fs.n_harmonics for ok, fs in cycles if ok}:
-        ks = [k for k, (ok, fs) in enumerate(cycles)
-              if ok and fs.n_harmonics == n]
-        d = np.stack([_regression_source(cycles[k][1]) for k in ks], axis=-1)
-        delta = np.array([[drives[k].delta.rad] for k in ks])
-        y0, _, _ = _sambe_solve(gens[ks[0]], d[..., None], -1j * freqs, delta)
-        incoherent.update(zip(ks, y0[1].real / math.pi))
-
-    def spectrum(k):
-        fs = _unwrap(cycles[k])
-        rho_ee_bar, intensity = fs.mean_rho_ee, incoherent[k]
+def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
+    """Yields the spectra of drives on a valid grid.  Drives equal but for
+    detuning and at one truncation order share batched resolvent solves."""
+    cycles = [floquet_steady_state(BlochGenerator(drive, emitter),
+                                   tol=floquet_tol) for drive in drives]
+    groups, incoherent = {}, {}
+    for k, fs in enumerate(cycles):
+        key = (fs.drive.replace_delta(0.0), fs.n_harmonics)
+        groups.setdefault(key, []).append(k)
+    size = max(1, (1 << 16) // freqs.size)   # nodes a batch: arrays <= 1 MB
+    for (drive, _), group in groups.items():
+        gen = BlochGenerator(drive, emitter)
+        for ks in (group[i:i + size] for i in range(0, len(group), size)):
+            d = np.stack([_regression_source(cycles[k]) for k in ks], -1)
+            delta = np.array([[drives[k].delta.rad] for k in ks])
+            y0, _, _ = _sambe_solve(gen, d[..., None], -1j * freqs, delta)
+            incoherent.update(zip(ks, y0[1].real / math.pi))
+    for k, fs in enumerate(cycles):
+        rho, intensity = fs.mean_rho_ee, incoherent[k]
         coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
-        keep = coh_w > 1e-14 * max(rho_ee_bar, 1e-300)
+        keep = coh_w > 1e-14 * max(rho, 1e-300)
         meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
-                "rho_ee_bar": rho_ee_bar,
+                "rho_ee_bar": rho,
                 "min_intensity_preclip": float(np.min(intensity))}
-        return Spectrum(freqs, _clip(intensity), fs.drive,
-                        coherent_freqs=fs.orders[keep] * fs.drive.omega_S.rad,
-                        coherent_weights=coh_w[keep], meta=meta)
-
-    return _outcomes(spectrum, range(len(drives)))
+        yield Spectrum(freqs, _clip(intensity), fs.drive,
+                       coherent_freqs=fs.orders[keep] * fs.drive.omega_S.rad,
+                       coherent_weights=coh_w[keep], meta=meta)
 
 
 def _diffusion_nodes(fwhm_rad: float, n_nodes: int):
@@ -174,30 +172,26 @@ def _diffusion_nodes(fwhm_rad: float, n_nodes: int):
 
 
 def _outcomes(fn, items) -> list:
-    """(True, fn(item)) or (False, the exception it raised), per item."""
-    out = []
+    """Per item (ok, result or exception): fn(items), then item by item."""
+    try:
+        return [(True, result) for result in fn(items)]
+    except Exception:  # rerun item by item
+        out = []
     for item in items:
         try:
-            out.append((True, fn(item)))
+            (result,) = fn([item])
+            out.append((True, result))
         except Exception as exc:  # aggregate, do not stop the sweep
             out.append((False, exc))
     return out
 
 
-def _unwrap(outcome):
-    """The result of an outcome of :func:`_outcomes`, or its failure raised."""
-    ok, value = outcome
-    if not ok:
-        raise value
-    return value
-
-
 def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
-    """[fn(item) for item in items]; with jobs > 1, contiguous chunks run in
-    a process pool of min(jobs, len(items), usable CPUs) workers.  Every
-    item runs even when some fail; the first failure is then re-raised with
-    its own class and a note that lists where(i) and the message of every
-    failing item i."""
+    """fn(items), fn mapping a list of items to their results; with jobs > 1,
+    contiguous chunks run in a process pool of min(jobs, len(items), usable
+    CPUs) workers.  Every item runs even when some fail (:func:`_outcomes`);
+    the first failure is then re-raised with its own class and a note that
+    lists where(i) and the message of every failing item i."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
@@ -227,19 +221,15 @@ def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
     return [result for _, result in outcomes]
 
 
-def _at_nodes(kernel, offsets, drive):
-    """kernel at drive shifted to each offset; the node drives die with it."""
-    return kernel([drive.replace_delta(drive.delta.rad + o) for o in offsets])
-
-
 def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
-    """Each drive's node results: kernel maps the drive shifted to every
-    offset of :func:`_diffusion_nodes` to an outcome per node, swept over
-    drives; the note names a failing node by drive index and node."""
+    """kernel (fn of :func:`_sweep`) over every drive shifted to every
+    detuning offset of :func:`_diffusion_nodes`, as one flat sweep over
+    drives x nodes; returns each drive's node results in node order.  A
+    failure's note names the drive's index and the node."""
     n = len(offsets)
-    at_nodes = partial(_at_nodes, kernel, offsets)
-    outcomes = [o for outs in _sweep(at_nodes, drives, jobs) for o in outs]
-    results = _sweep(_unwrap, outcomes,
+    shifted = [drive.replace_delta(drive.delta.rad + off)
+               for drive in drives for off in offsets]
+    results = _sweep(kernel, shifted, jobs,
                      where=lambda i: f"index {i // n}, node {i % n}")
     return [results[i:i + n] for i in range(0, len(results), n)]
 
@@ -365,7 +355,7 @@ def spectrum_map(sweep, emitter: EmitterParams,
     and a window wider than the etalon's free spectral range
     :class:`AliasingError`, before any spectrum is computed.  Every drive
     runs at every diffusion node through :func:`_node_sweep` (jobs > 1
-    spreads the drives over worker processes), then the node spectra are
+    spreads the nodes over worker processes), then the node spectra are
     averaged and folded with the etalon.
     """
     sweep = list(sweep)

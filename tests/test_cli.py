@@ -892,10 +892,10 @@ class TestJobsEnvironment:
         assert pool_sizes == workers
         assert serial.read_bytes() == capped.read_bytes()
 
-    def test_one_drive_spectrum_starts_no_pool(self, tmp_path, monkeypatch,
-                                               pool_sizes):
-        """The sweep items are drives, so the diffusion nodes of a single
-        spectrum run in one process even with --jobs 2 on two CPUs."""
+    def test_one_drive_spectrum_spreads_its_nodes(self, tmp_path, monkeypatch,
+                                                  pool_sizes):
+        """--jobs 2 on two CPUs spreads the diffusion nodes of a single
+        spectrum over two workers, in batches, and writes the serial bytes."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         args = ["spectrum", "--diffusion-mhz", 678, "--window-ghz", 4,
@@ -903,7 +903,7 @@ class TestJobsEnvironment:
         serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
         assert run(args + ["--jobs", 1, "--out", serial]) == 0
         assert run(args + ["--jobs", 2, "--out", parallel]) == 0
-        assert pool_sizes == []
+        assert pool_sizes == [2]
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys):

@@ -338,22 +338,58 @@ class TestBatchedNodes:
                 for a, b in zip(batch, single):
                     assert a[j].tobytes() == b.tobytes()
 
+    @staticmethod
+    def assert_same_spectrum(a, b):
+        assert a.drive is b.drive
+        assert a.intensity.tobytes() == b.intensity.tobytes()
+        assert a.coherent_freqs.tobytes() == b.coherent_freqs.tobytes()
+        assert a.coherent_weights.tobytes() == b.coherent_weights.tobytes()
+        assert a.meta == b.meta
+
     @pytest.mark.parametrize("name", ["mixed_orders", "rabi_resonance"])
     def test_resolvent_spectrum_is_the_one_node_case(self, emitter, name):
         nodes = self.node_drives(name)
-        outcomes = _node_spectra(nodes, emitter, self.freqs, 1e-10)
-        for drive, (ok, spec) in zip(nodes, outcomes):
-            one = resolvent_spectrum(drive, emitter, self.freqs)
-            assert ok and spec.drive is drive
-            assert spec.intensity.tobytes() == one.intensity.tobytes()
-            assert spec.coherent_freqs.tobytes() == one.coherent_freqs.tobytes()
-            assert (spec.coherent_weights.tobytes()
-                    == one.coherent_weights.tobytes())
-            assert spec.meta == one.meta
+        specs = list(_node_spectra(nodes, emitter, self.freqs, 1e-10))
+        assert len(specs) == len(nodes)
+        for drive, spec in zip(nodes, specs):
+            self.assert_same_spectrum(
+                spec, resolvent_spectrum(drive, emitter, self.freqs))
 
-    def test_failing_node_leaves_the_others(self, emitter, monkeypatch):
-        """A node whose limit cycle fails keeps its exception; the other
-        nodes of the drive still get their spectra."""
+    def test_drives_of_different_rabi_frequencies_batch_apart(self, emitter):
+        """Nodes of two drives that differ in rabi_L and rabi_S, interleaved
+        in one call, each get their own drive's spectrum."""
+        a, b = (self.node_drives(name)[::4]
+                for name in ("rabi_resonance", "mixed_orders"))
+        nodes = [drive for pair in zip(a, b) for drive in pair]
+        specs = _node_spectra(nodes, emitter, self.freqs, 1e-10)
+        for drive, spec in zip(nodes, specs):
+            self.assert_same_spectrum(
+                spec, resolvent_spectrum(drive, emitter, self.freqs))
+
+    def test_batch_is_split_on_large_grids(self, emitter, monkeypatch):
+        """Above 2**16 nodes x frequencies a batch is split, one node per
+        call on a grid of 2**15 + 1 points, with the same spectra."""
+        import sawmollow.spectrum as spectrum
+        nodes = self.node_drives("rabi_resonance")[9:12]
+        freqs = np.linspace(-9.0, 9.0, 2 ** 15 + 1) * GHZ
+        widths = []
+
+        def recording(gen, d, s, delta=None):
+            widths.append(d.shape[2])
+            return _sambe_solve(gen, d, s, delta)
+
+        monkeypatch.setattr(spectrum, "_sambe_solve", recording)
+        specs = list(_node_spectra(nodes, emitter, freqs, 1e-10))
+        assert widths == [1, 1, 1]
+        monkeypatch.undo()
+        for drive, spec in zip(nodes, specs):
+            self.assert_same_spectrum(
+                spec, resolvent_spectrum(drive, emitter, freqs))
+
+    def test_failing_node_keeps_its_own_exception(self, emitter, monkeypatch):
+        """When a node's limit cycle fails, the sweep reruns the nodes one by
+        one: the failing node keeps its exception, the others their
+        spectra."""
         import sawmollow.spectrum as spectrum
         nodes = self.node_drives("rabi_resonance")[:3]
         solve = spectrum.floquet_steady_state
@@ -364,12 +400,16 @@ class TestBatchedNodes:
             return solve(gen, **kwargs)
 
         monkeypatch.setattr(spectrum, "floquet_steady_state", failing_middle)
-        outcomes = _node_spectra(nodes, emitter, self.freqs, 1e-10)
+        kernel = partial(_node_spectra, emitter=emitter, freqs=self.freqs,
+                         floquet_tol=1e-10)
+        outcomes = _outcomes(kernel, nodes)
         assert [ok for ok, _ in outcomes] == [True, False, True]
         assert isinstance(outcomes[1][1], ConvergenceError)
         monkeypatch.undo()
-        one = resolvent_spectrum(nodes[2], emitter, self.freqs)
-        assert np.array_equal(outcomes[2][1].intensity, one.intensity)
+        for k in (0, 2):
+            self.assert_same_spectrum(
+                outcomes[k][1],
+                resolvent_spectrum(nodes[k], emitter, self.freqs))
 
 
 class TestSpectralDiffusion:
@@ -609,37 +649,38 @@ class TestSpectrumMap:
 class TestSweepDriver:
     def test_results_in_item_order(self):
         items = [4.0, 9.0, 16.0, 25.0]
-        assert _sweep(math.sqrt, items) == [2.0, 3.0, 4.0, 5.0]
-        assert _sweep(math.sqrt, items, jobs=2) == [2.0, 3.0, 4.0, 5.0]
+        sqrt = partial(map, math.sqrt)
+        assert _sweep(sqrt, items) == [2.0, 3.0, 4.0, 5.0]
+        assert _sweep(sqrt, items, jobs=2) == [2.0, 3.0, 4.0, 5.0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failure_raised_with_note_listing_all(self, jobs):
         with pytest.raises(ValueError, match="math domain error") as err:
-            _sweep(math.sqrt, [4.0, -1.0, 9.0, "x"], jobs=jobs)
+            _sweep(partial(map, math.sqrt), [4.0, -1.0, 9.0, "x"], jobs=jobs)
         (note,) = err.value.__notes__
         assert note.startswith("2 of 4 sweep point(s) failed")
         assert "index 1: math domain error" in note
         assert "index 3:" in note and "index 0" not in note
 
-    def test_node_sweep_groups_nodes_per_drive(self):
-        """The kernel gets one drive's node drives per call and returns an
-        outcome per node."""
+    def test_node_sweep_hands_the_kernel_every_node(self):
+        """A serial sweep makes one kernel call with every drive's node
+        drives and returns each drive's node results."""
         drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
                               Frequency(1.0)) for d in (0.0, 10.0)]
         calls = []
 
         def kernel(nodes):
             calls.append([drive.delta.rad for drive in nodes])
-            return _outcomes(lambda drive: drive.delta.rad, nodes)
+            return calls[-1]
 
         results = _node_sweep(kernel, drives, np.array([-1.0, 0.0, 1.0]))
         assert results == [[-1.0, 0.0, 1.0], [9.0, 10.0, 11.0]]
-        assert calls == results
+        assert calls == [[-1.0, 0.0, 1.0, 9.0, 10.0, 11.0]]
 
     def test_node_sweep_names_each_failing_node(self):
         drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
                               Frequency(1.0)) for d in (0.0, 10.0)]
-        kernel = partial(_outcomes, lambda drive: math.sqrt(drive.delta.rad))
+        kernel = partial(map, lambda drive: math.sqrt(drive.delta.rad))
         with pytest.raises(ValueError, match="math domain error") as err:
             _node_sweep(kernel, drives, np.array([-11.0, 0.0, 1.0]))
         (note,) = err.value.__notes__
