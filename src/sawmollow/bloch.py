@@ -78,24 +78,8 @@ class BlochState:
     def ground(cls) -> "BlochState":
         return cls(0j, 0j, -1.0)
 
-    @classmethod
-    def excited(cls) -> "BlochState":
-        return cls(0j, 0j, 1.0)
-
-    @classmethod
-    def from_vector(cls, x) -> "BlochState":
-        return cls(complex(x[0]), complex(x[1]), float(np.real(x[2])))
-
     def as_vector(self) -> np.ndarray:
         return np.array([self.sp, self.sm, self.sz], dtype=complex)
-
-    @property
-    def rho_ee(self) -> float:
-        return 0.5 * (1.0 + self.sz)
-
-    def bloch_norm(self) -> float:
-        """4|<s+>|^2 + <sz>^2; <= 1 for any physical (ensemble) state."""
-        return 4.0 * abs(self.sp) ** 2 + self.sz ** 2
 
 
 class BlochGenerator:
@@ -138,20 +122,6 @@ class BlochTrajectory:
     times: np.ndarray
     values: np.ndarray  # shape (n, 3) complex
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state(self, i: int) -> BlochState:
-        return BlochState.from_vector(self.values[i])
-
-    @property
-    def final(self) -> BlochState:
-        return self.state(len(self.times) - 1)
-
-    @property
-    def sz(self) -> np.ndarray:
-        return self.values[:, 2].real
-
 
 def _integrate(gen: BlochGenerator, y0: np.ndarray, t0: float, t1: float,
                tol: float, t_eval=None):
@@ -186,18 +156,12 @@ def propagate(gen: BlochGenerator, initial: BlochState, t0: float, t1: float,
     """Integrate dx/dt = M(t) x + b from t0 to t1 by DOP853 with local error
     below tol.
 
-    Returns the sampled trajectory including both endpoints.  Raises
+    Returns the trajectory at the solver's own steps, both endpoints
+    included, or, given t_eval, at those times only.  Raises
     :class:`IntegrationError` if the step size underflows.
     """
     t, y = _integrate(gen, initial.as_vector()[:, None], t0, t1, tol, t_eval)
     return BlochTrajectory(t, y[:, :, 0])
-
-
-def static_steady_state(gen: BlochGenerator) -> np.ndarray:
-    """Stationary Bloch vector of the unmodulated equations (rabi_S = 0)."""
-    if gen.emitter.gamma.rad <= 0:
-        raise DegenerateSystemError("no unique steady state at gamma = 0")
-    return np.linalg.solve(gen.static_part, -gen.inhomogeneous)
 
 
 @dataclass(frozen=True)

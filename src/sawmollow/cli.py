@@ -267,7 +267,18 @@ def _pipeline(args) -> SpectrumPipelineConfig:
 
 
 def _drive_sweep(args):
-    """Swept values, their drive configs and the swept column's name."""
+    """Swept values, their drive configs and the swept column's name.  The
+    swept axis's own flag would set nothing, so it is rejected; the other
+    drive flag takes its FLAGS default when not given."""
+    swept, fixed = "rabi_l_ghz", "delta_ghz"
+    if args.sweep == "delta":
+        swept, fixed = fixed, swept
+    if getattr(args, swept) is not None:
+        raise ConfigError(f"--{swept.replace('_', '-')} is the swept axis of "
+                          f"--sweep {args.sweep}; set --sweep-start and "
+                          "--sweep-stop instead")
+    if getattr(args, fixed) is None:
+        setattr(args, fixed, FLAGS[fixed.replace("_", "-")]["default"])
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
     if args.sweep == "rabi-l":
         return values, [_drive(args, rabi_l=v) for v in values], "rabiL_GHz"
@@ -487,17 +498,20 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 # Each command: its function, its help, the flags it takes in help order,
-# and by flag name its own defaults, or argparse keywords as a dict.
+# and by flag name its own defaults, or argparse keywords as a dict.  A
+# sweep command tells a given drive flag from an absent one (_drive_sweep).
+_UNSET_DRIVE = {"delta-ghz": None, "rabi-l-ghz": None}
 COMMANDS = {
     "spectrum": (cmd_spectrum, "one emission spectrum",
                  [*_OUTPUT, *_PHYSICS, *_SPECTRUM],
                  {"nodes": 21, "tol": 1e-10}),
     "spectrum-map": (cmd_spectrum_map, "spectra over a drive sweep",
                      [*_OUTPUT, *_PHYSICS, *_SWEEP, *_SPECTRUM],
-                     {"sweep-points": 11, "nodes": 21, "tol": 1e-10}),
+                     {**_UNSET_DRIVE, "sweep-points": 11, "nodes": 21,
+                      "tol": 1e-10}),
     "dressed-lines": (cmd_dressed_lines, "predicted line table",
                       [*_OUTPUT, *_PHYSICS[:4], *_SWEEP],
-                      {"sweep-points": 21}),
+                      {**_UNSET_DRIVE, "sweep-points": 21}),
     "cooling-map": (cmd_cooling_map, "closed-form phonon rate map",
                     [*_OUTPUT, *_PHYSICS[2:6], *_GRID, *_MAP],
                     {"diffusion-mhz": DEVICE_DIFFUSION_GHZ * 1e3,
@@ -594,7 +608,7 @@ def _check_frequency_flags(args) -> None:
     for dest, value in vars(args).items():
         flag = dest.replace("_", "-")
         unit = FLAGS.get(flag, {}).get("unit")
-        if unit and not math.isfinite(value):
+        if unit and value is not None and not math.isfinite(value):
             raise ConfigError(f"--{flag} must be a finite frequency in {unit}, "
                               f"got {value}")
 

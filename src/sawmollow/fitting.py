@@ -1,6 +1,6 @@
 """Calibration fits: Bessel-sideband absorption, Lorentzian cavity
-resonance, linear drive calibration, quadratic background extrapolation,
-and the extinction-ratio formula.
+resonance, linear drive calibration and quadratic background
+extrapolation.
 
 The absorption model for a frequency-modulated two-level transition is a
 Bessel-weighted sum of Lorentzian sidebands,
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -269,25 +268,6 @@ def background_extrapolate(data, target: float) -> tuple[float, float]:
     value = float(probe @ beta)
     stderr = math.sqrt(float(probe @ cov @ probe))
     return value, stderr
-
-
-class ExtinctionResult(NamedTuple):
-    eta: float
-    saturated: bool
-
-
-def extinction_ratio(i_meas: float, i_ext: float,
-                     floor: float = 1e-12) -> ExtinctionResult:
-    """Suppression factor i_meas / |i_meas - i_ext| of the residual laser
-    reflection after background subtraction; a vanishing denominator is
-    floored at floor * i_meas and flagged as saturated."""
-    if not i_meas > 0:
-        raise DomainError("i_meas must be positive")
-    denom = abs(i_meas - i_ext)
-    limit = floor * i_meas
-    if denom < limit:
-        return ExtinctionResult(i_meas / limit, True)
-    return ExtinctionResult(i_meas / denom, False)
 
 
 def load_two_column(path) -> np.ndarray:

@@ -214,20 +214,6 @@ class Spectrum:
     def coherent_total(self) -> float:
         return float(np.sum(self.coherent_weights))
 
-    def integrate(self, lo_rad: float, hi_rad: float,
-                  include_coherent: bool = False) -> float:
-        """Integrated intensity over [lo, hi] (rad/s offsets from the laser)."""
-        if hi_rad <= lo_rad:
-            raise ValueError("empty integration window")
-        sel = (self.freqs >= lo_rad) & (self.freqs <= hi_rad)
-        if sel.sum() < 2:
-            return 0.0
-        total = float(np.trapezoid(self.intensity[sel], self.freqs[sel]))
-        if include_coherent:
-            csel = (self.coherent_freqs >= lo_rad) & (self.coherent_freqs <= hi_rad)
-            total += float(np.sum(self.coherent_weights[csel]))
-        return total
-
 
 def thermal_occupation(omega_S, temperature: float) -> float:
     """Mean thermal phonon number of a mode at the given temperature.

@@ -336,15 +336,6 @@ class SpectrumPipelineConfig:
     floquet_tol: float = 1e-10
 
 
-def single_spectrum(config: DriveConfig, emitter: EmitterParams,
-                    pipeline: SpectrumPipelineConfig | None = None) -> Spectrum:
-    """Pre-instrument spectrum of one drive condition on the pipeline grid."""
-    pipeline = pipeline or SpectrumPipelineConfig()
-    return resolvent_spectrum(
-        config, emitter, _uniform_grid(pipeline.window, pipeline.n_freq),
-        pipeline.floquet_tol)
-
-
 def spectrum_map(sweep, emitter: EmitterParams,
                  instrument: InstrumentModel | None = None,
                  pipeline: SpectrumPipelineConfig | None = None,

@@ -286,18 +286,29 @@ class TestSpectrumCommand:
                 run(command + flag + ["--out", tmp_path / "x.csv"])
             assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command,flag",
-                             [(c, f) for c in TAKES for f in PHYSICS])
-    def test_physics_flag_acts_or_is_rejected(self, command, flag, tmp_path):
+    @pytest.mark.parametrize("command,flag,swept", [
+        *[(c, f, False) for c in TAKES for f in PHYSICS],
+        *[(c, f, True) for c in ("spectrum-map", "dressed-lines")
+          for f in ("--rabi-l-ghz", "--delta-ghz")]])
+    def test_physics_flag_acts_or_is_rejected(self, command, flag, swept,
+                                              tmp_path):
         """A physics flag that a command takes changes its data rows; any
-        other exits 2.  The swept quantity of a sweep command is the one the
-        flag does not set.  --fsr-ghz enters only through the etalon, whose
-        window it must cover: at 7 GHz it rejects the 8 GHz window."""
+        other exits 2.  A sweep command sweeps the drive quantity the flag
+        does not set, unless swept: then the flag sets the swept axis, which
+        it cannot, and exits 2.  --fsr-ghz enters only through the etalon,
+        whose window it must cover: at 7 GHz it rejects the 8 GHz window."""
         args = [command, *TINY[command]]
         if command in ("spectrum-map", "dressed-lines"):
             sweep = "delta" if flag == "--rabi-l-ghz" else "rabi-l"
+            if swept:
+                sweep = "rabi-l" if flag == "--rabi-l-ghz" else "delta"
             args += ["--sweep", sweep, "--sweep-start", 0.5,
                      "--sweep-stop", 2.5]
+        if swept:
+            changed = tmp_path / "changed.csv"
+            assert run(args + [flag, PERTURBED[flag], "--out", changed]) == 2
+            assert not changed.exists()
+            return
         if flag not in TAKES[command]:
             with pytest.raises(SystemExit) as exc:
                 run(args + [flag, PERTURBED[flag], "--out", tmp_path / "x"])
@@ -367,8 +378,10 @@ class TestSpectrumCommand:
         args = [command, "--sweep", sweep, "--sweep-start", repr(ends[0]),
                 "--sweep-stop", repr(ends[1]), "--sweep-points", 2]
         values = drive + instrument if command == "spectrum-map" else drive
+        axis = "--rabi-l-ghz" if sweep == "rabi-l" else "--delta-ghz"
         for flag, value in zip(PHYSICS, values):
-            args += [flag, repr(value)]
+            if flag != axis:    # the swept axis's own flag exits 2
+                args += [flag, repr(value)]
         if command == "spectrum-map":
             args += ["--window-ghz", 4, "--points", 11, "--nodes", 3]
         assert_succeeds_or_exits_2(
@@ -376,8 +389,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("command, args", [
         ("spectrum-map", ["--sweep", "delta", "--sweep-start", "-1e-3",
-                          "--sweep-stop", "-9.8e-08", "--delta-ghz", "-2.5E-1",
-                          *TINY["spectrum-map"]]),
+                          "--sweep-stop", "-9.8e-08", *TINY["spectrum-map"]]),
         ("dressed-lines", ["--delta-ghz", "-1.5e0", *TINY["dressed-lines"]]),
         ("cooling-map", ["--delta-start", "-5e0", "--delta-stop", "-.5e-1",
                          *TINY["cooling-map"]]),

@@ -21,6 +21,7 @@ from sawmollow.cooling import (
     cooling_rate_from_table,
     lindblad_steady_state,
 )
+from sawmollow.dressed import _dressing_cosines
 from sawmollow.model import (
     DomainError,
     DriveConfig,
@@ -28,7 +29,7 @@ from sawmollow.model import (
     Frequency,
     TWO_PI,
 )
-from sawmollow.spectrum import SpectrumPipelineConfig, single_spectrum
+from sawmollow.spectrum import SpectrumPipelineConfig, spectrum_map
 
 GHZ = TWO_PI * 1e9
 
@@ -119,7 +120,7 @@ class TestSemiclassicalRates:
 
 class TestRateFromSpectrum:
     def test_symmetric_spectrum_gives_zero(self, emitter, drive_resonant):
-        spec = single_spectrum(drive_resonant, emitter)
+        spec = spectrum_map([drive_resonant], emitter)[0]
         rate = cooling_rate_from_spectrum(spec, drive_resonant.omega_S,
                                           Frequency.from_ghz(1.0))
         assert abs(rate) < 1e-3 * spec.normalization
@@ -129,7 +130,7 @@ class TestRateFromSpectrum:
         # a window edge grazing a satellite shoulder corrupts the baseline.
         for delta in (-2.36, 2.36):
             cfg = DriveConfig.from_ghz(delta, 2.625, 1.75, 3.5299)
-            spec = single_spectrum(cfg, emitter)
+            spec = spectrum_map([cfg], emitter)[0]
             extracted = cooling_rate_from_spectrum(
                 spec, cfg.omega_S, Frequency.from_ghz(0.8))
             rho = floquet_steady_state(BlochGenerator(cfg, emitter)).mean_rho_ee
@@ -140,8 +141,6 @@ class TestRateFromSpectrum:
         """The full phonon-weighted line sum equals twice the bare-sideband
         difference, evaluated on simulated spectra whose nine lines are
         resolved by >= 6.5 linewidths (narrow emitter, weak acoustic drive)."""
-        from sawmollow.dressed import dressed_splitting, mixing_angles
-        from sawmollow.spectrum import SpectrumPipelineConfig
         emitter = EmitterParams.from_ghz(0.03)
         pipe = SpectrumPipelineConfig(
             window=(Frequency.from_ghz(-9), Frequency.from_ghz(9)),
@@ -157,12 +156,11 @@ class TestRateFromSpectrum:
                           (-3.0, 1.8, 0.4), (2.7, 2.2, 0.5)]:
             cfg = DriveConfig.from_ghz(d, wl, rs, 3.5299)
             ws = cfg.omega_S.rad
-            gap = dressed_splitting(cfg).rad
+            _, _, cos2s, _, gap = _dressing_cosines(cfg)
             assert gap > 6.5 * emitter.gamma.rad  # resolution precondition
-            ang = mixing_angles(cfg)
-            cs2 = math.cos(ang.theta_S) ** 2
-            ss2 = math.sin(ang.theta_S) ** 2
-            spec = single_spectrum(cfg, emitter, pipe)
+            cs2 = 0.5 * (1.0 + cos2s)   # cos^2 theta_S
+            ss2 = 0.5 * (1.0 - cos2s)   # sin^2 theta_S
+            spec = spectrum_map([cfg], emitter, pipeline=pipe)[0]
             half = 0.4 * gap
             inten = lambda c: windowed(spec, c, half)
             lhs = (inten(-ws) + 2 * ss2 * inten(-ws + gap)
@@ -175,7 +173,7 @@ class TestRateFromSpectrum:
 
     def test_warns_when_satellite_enters_window(self, emitter):
         cfg = DriveConfig.from_ghz(0.0, 3.0, 1.0, 3.5299)
-        spec = single_spectrum(cfg, emitter)
+        spec = spectrum_map([cfg], emitter)[0]
         with pytest.warns(ResolutionWarning):
             cooling_rate_from_spectrum(spec, cfg.omega_S,
                                        Frequency.from_ghz(1.5))
@@ -183,7 +181,7 @@ class TestRateFromSpectrum:
     def test_rejects_uncovered_sidebands(self, emitter, drive_resonant):
         pipe = SpectrumPipelineConfig(
             window=(Frequency.from_ghz(-2.0), Frequency.from_ghz(2.0)))
-        spec = single_spectrum(drive_resonant, emitter, pipe)
+        spec = spectrum_map([drive_resonant], emitter, pipeline=pipe)[0]
         with pytest.raises(ValueError):
             cooling_rate_from_spectrum(spec, drive_resonant.omega_S,
                                        Frequency.from_ghz(1.0))

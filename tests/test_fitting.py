@@ -7,13 +7,12 @@ from sawmollow.fitting import (
     AbsorptionModel,
     absorption_spectrum,
     background_extrapolate,
-    extinction_ratio,
     fit_absorption,
     fit_linear_through_origin,
     fit_lorentzian,
     load_two_column,
 )
-from sawmollow.model import DomainError, Frequency, TWO_PI
+from sawmollow.model import Frequency, TWO_PI
 
 GHZ = TWO_PI * 1e9
 OMEGA_S = Frequency.from_ghz(3.5299)
@@ -288,25 +287,6 @@ class TestReportedOptimaAreLocalMinima:
                 trial = beta.copy()
                 trial[i] *= 1.0 + 0.01 * sign
                 assert rms(trial) >= base * (1.0 - 1e-12)
-
-
-class TestExtinctionRatio:
-    def test_basic_arithmetic(self):
-        assert extinction_ratio(1.0, 0.99).eta == pytest.approx(100.0)
-
-    def test_reported_single_shot_value(self):
-        result = extinction_ratio(127.0, 126.0)
-        assert result.eta == pytest.approx(127.0)
-        assert not result.saturated
-
-    def test_equal_intensities_saturate(self):
-        result = extinction_ratio(1.0, 1.0)
-        assert result.saturated
-        assert result.eta == pytest.approx(1e12)
-
-    def test_rejects_nonpositive_measurement(self):
-        with pytest.raises(DomainError):
-            extinction_ratio(0.0, 0.5)
 
 
 class TestRoundTripIdentifiability:

@@ -174,11 +174,9 @@ class TestSpectrumType:
         with pytest.raises(ValueError, match="finite"):
             Spectrum(freqs, intensity, cfg)
 
-    def test_integrate_window(self):
+    def test_normalization_leaves_out_coherent_lines(self):
         cfg = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5)
         freqs = np.linspace(-1.0, 1.0, 201)
         spec = Spectrum(freqs, np.ones_like(freqs), cfg,
                         coherent_freqs=[0.0], coherent_weights=[2.0])
-        assert spec.integrate(-0.5, 0.5) == pytest.approx(1.0)
-        assert spec.integrate(-0.5, 0.5, include_coherent=True) == pytest.approx(3.0)
         assert spec.normalization == pytest.approx(2.0)
