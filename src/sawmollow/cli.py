@@ -71,11 +71,7 @@ from .model import (
     Spectrum,
     thermal_occupation,
 )
-from .spectrum import (
-    InstrumentModel,
-    SpectrumPipelineConfig,
-    spectrum_map,
-)
+from .spectrum import InstrumentModel, spectrum_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,18 +248,16 @@ def _drive(args, delta=None, rabi_l=None) -> DriveConfig:
         args.rabi_s_ghz, args.omega_s_ghz)
 
 
-def _instrument(args) -> InstrumentModel:
-    return InstrumentModel(Frequency.from_ghz(args.diffusion_mhz / 1e3),
-                           Frequency.from_ghz(args.etalon_mhz / 1e3),
-                           Frequency.from_ghz(args.fsr_ghz))
-
-
-def _pipeline(args) -> SpectrumPipelineConfig:
-    half = args.window_ghz
-    return SpectrumPipelineConfig(
-        window=(Frequency.from_ghz(-half), Frequency.from_ghz(half)),
-        n_freq=args.points, n_diffusion_nodes=args.nodes,
-        floquet_tol=args.tol)
+def _spectra(args, sweep) -> list:
+    """spectrum_map of sweep on the --window-ghz, --points grid."""
+    emitter = _emitter(args)
+    instrument = InstrumentModel(Frequency.from_ghz(args.diffusion_mhz / 1e3),
+                                 Frequency.from_ghz(args.etalon_mhz / 1e3),
+                                 Frequency.from_ghz(args.fsr_ghz))
+    freqs = np.linspace(Frequency.from_ghz(-args.window_ghz).rad,
+                        Frequency.from_ghz(args.window_ghz).rad, args.points)
+    return spectrum_map(sweep, emitter, freqs, instrument, args.nodes,
+                        args.tol, jobs=args.jobs)
 
 
 def _drive_sweep(args):
@@ -295,8 +289,7 @@ def _spectrum_rows(spec: Spectrum, prefix=()):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args):
-    (spec,) = spectrum_map([_drive(args)], _emitter(args), _instrument(args),
-                           _pipeline(args), jobs=args.jobs)
+    (spec,) = _spectra(args, [_drive(args)])
     extra = {"rho_ee_bar": spec.meta.get("rho_ee_bar", math.nan),
              "coherent_total": spec.coherent_total}
     for f, w in zip(spec.coherent_freqs, spec.coherent_weights):
@@ -307,13 +300,9 @@ def cmd_spectrum(args):
 
 
 def cmd_spectrum_map(args):
-    emitter = _emitter(args)
     values, sweep, col = _drive_sweep(args)
-    specs = spectrum_map(sweep, emitter, _instrument(args), _pipeline(args),
-                         jobs=args.jobs)
-    rows = []
-    for v, spec in zip(values, specs):
-        rows.extend(_spectrum_rows(spec, prefix=(v,)))
+    rows = [row for v, spec in zip(values, _spectra(args, sweep))
+            for row in _spectrum_rows(spec, prefix=(v,))]
     emit(rows, [col, "freq_offset_GHz", "intensity"], args.out, args.format,
          _metadata(args))
     return EXIT_OK
@@ -412,8 +401,12 @@ def cmd_fit_linear(args):
 
 
 def cmd_background(args):
-    value, stderr = background_extrapolate(load_two_column(args.data),
-                                           args.target)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value, stderr = background_extrapolate(load_two_column(args.data),
+                                               args.target)
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise ConfigError(f"--target must be a finite bias whose extrapolation "
+                          f"is finite, got {args.target}")
     emit({"value": value, "stderr": stderr, "target": args.target}, None,
          args.out, args.format, _metadata(args))
     return EXIT_OK

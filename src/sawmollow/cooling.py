@@ -87,6 +87,8 @@ def cooling_rate_closed_form(config: DriveConfig, emitter: EmitterParams,
     rate < 0 removes phonons.  |rate| <= 2 * gamma * rho_ee always (the
     phonon change per photon is bounded by 2).
     """
+    if rho_ee == 0.0:   # emits nothing, so exchanges no phonons
+        return 0.0
     d = config.delta.rad
     wl = config.rabi_L.rad
     ws_drive = config.rabi_S.rad

@@ -240,6 +240,8 @@ def fit_linear_through_origin(data, intercept: bool = False) -> FitReport:
     if intercept:
         design = np.column_stack([x, np.ones_like(x)])
         names = ["slope", "intercept"]
+        if np.linalg.matrix_rank(design) < 2:
+            raise np.linalg.LinAlgError("degenerate abscissa (all x equal)")
     else:
         design = x[:, None]
         names = ["slope"]

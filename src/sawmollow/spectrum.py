@@ -19,7 +19,7 @@ incoherent spectrum is therefore exactly
     S(nu) = (1/pi) Re [((-i nu - L)^-1 D)_0]_1,
 
 with D the harmonics of d (Sambe, PRA 7, 2203 (1973)).
-:func:`resolvent_spectrum` solves only the central block with the matrix
+:func:`_node_spectra` solves only the central block with the matrix
 continued fraction that also gives the limit cycle,
 :func:`sawmollow.bloch._sambe_solve`, vectorized over frequencies and nodes.
 
@@ -42,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .bloch import BlochGenerator, _sambe_solve, floquet_steady_state
-from .model import GHZ, DriveConfig, EmitterParams, Frequency, Spectrum, _as_rad
+from .model import GHZ, DriveConfig, EmitterParams, Frequency, Spectrum
 
 
 class GridMismatchError(ValueError):
@@ -76,15 +76,6 @@ class InstrumentModel:
             raise ValueError("etalon FSR must exceed its linewidth")
 
 
-def _uniform_grid(freq_window, n_freq: int) -> np.ndarray:
-    lo, hi = (_as_rad(freq_window[0]), _as_rad(freq_window[1]))
-    if not hi > lo:
-        raise ValueError("freq_window must be increasing")
-    if n_freq < 2:
-        raise ValueError("n_freq must be >= 2")
-    return np.linspace(lo, hi, n_freq)
-
-
 def _clip(intensity: np.ndarray) -> np.ndarray:
     """intensity floored at -Spectrum.CLIP_REL times its peak, which the
     Spectrum check allows; adding 0.0 turns the -0.0 floor of an all-zero
@@ -110,26 +101,15 @@ def _regression_source(fs) -> np.ndarray:
     return d
 
 
-def resolvent_spectrum(config: DriveConfig, emitter: EmitterParams, freqs,
-                       floquet_tol: float = 1e-10) -> Spectrum:
-    """Pre-instrument spectrum of one drive on a frequency grid.
+def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
+    """Yields the pre-instrument spectra of drives on a valid grid.
 
     The incoherent part is the exact phase-averaged Floquet resolvent (see
     the module docstring), truncated at the harmonic order the limit cycle
     converged at; the coherent plateau is carried as delta weights
-    Re(m_k s+_{-k}) at k omega_S, m_k being the s- harmonics.  freqs are
-    offsets from the laser in rad/s, strictly increasing (not necessarily
-    uniform).  This is the one-node case of :func:`_node_spectra`.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
-        raise ValueError("freqs must be a strictly increasing 1-d grid")
-    return next(_node_spectra([config], emitter, freqs, floquet_tol))
-
-
-def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
-    """Yields the spectra of drives on a valid grid.  Drives equal but for
-    detuning and at one truncation order share batched resolvent solves."""
+    Re(m_k s+_{-k}) at k omega_S, m_k being the s- harmonics.  Drives equal
+    but for detuning and at one truncation order share batched resolvent
+    solves."""
     cycles = [floquet_steady_state(BlochGenerator(drive, emitter),
                                    tol=floquet_tol) for drive in drives]
     groups, incoherent = {}, {}
@@ -326,23 +306,14 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
     return Spectrum(freqs, _clip(out), spec.drive, meta=spec.meta)
 
 
-@dataclass(frozen=True)
-class SpectrumPipelineConfig:
-    """Frequency grid, diffusion quadrature and tolerance of the pipeline."""
-
-    window: tuple = (Frequency.from_ghz(-12.0), Frequency.from_ghz(12.0))
-    n_freq: int = 2001
-    n_diffusion_nodes: int = 21
-    floquet_tol: float = 1e-10
-
-
-def spectrum_map(sweep, emitter: EmitterParams,
-                 instrument: InstrumentModel | None = None,
-                 pipeline: SpectrumPipelineConfig | None = None,
-                 jobs: int = 1) -> list[Spectrum]:
+def spectrum_map(sweep, emitter: EmitterParams, freqs,
+                 instrument: InstrumentModel | None = None, n_nodes: int = 21,
+                 floquet_tol: float = 1e-10, jobs: int = 1) -> list[Spectrum]:
     """Full pipeline over a sweep of drive configs, order-preserving.
 
-    An invalid frequency grid or diffusion node count raises ValueError,
+    freqs are offsets from the laser in rad/s, strictly increasing (not
+    necessarily uniform); n_nodes is the Gauss-Hermite order of the
+    diffusion average.  An invalid grid or node count raises ValueError,
     and a window wider than the etalon's free spectral range
     :class:`AliasingError`, before any spectrum is computed.  Every drive
     runs at every diffusion node through :func:`_node_sweep` (jobs > 1
@@ -352,15 +323,15 @@ def spectrum_map(sweep, emitter: EmitterParams,
     sweep = list(sweep)
     if not sweep:
         raise ValueError("sweep must be nonempty")
-    pipeline = pipeline or SpectrumPipelineConfig()
-    freqs = _uniform_grid(pipeline.window, pipeline.n_freq)
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
+        raise ValueError("freqs must be a strictly increasing 1-d grid")
     model = instrument or InstrumentModel()
-    offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad,
-                                        pipeline.n_diffusion_nodes)
+    offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, n_nodes)
     if model.etalon_fwhm.rad > 0:
         _check_etalon_window(float(freqs[-1] - freqs[0]), model)
     kernel = partial(_node_spectra, emitter=emitter, freqs=freqs,
-                     floquet_tol=pipeline.floquet_tol)
+                     floquet_tol=floquet_tol)
     specs = [apply_spectral_diffusion(nodes, weights, drive) for drive, nodes
              in zip(sweep, _node_sweep(kernel, sweep, offsets, jobs))]
     if model.etalon_fwhm.rad > 0:

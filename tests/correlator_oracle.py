@@ -5,7 +5,7 @@ one-period fundamental matrix (:func:`sawmollow.bloch.periodic_fundamental`),
 averaged over discrete phases t0 of the acoustic cycle, and Fourier
 transformed by direct trapezoidal quadrature.  Beyond the limit cycle and
 the frequency grid it shares no code with the package's Floquet-resolvent
-route (:func:`sawmollow.spectrum.resolvent_spectrum`), so the tests use it
+route (:func:`sawmollow.spectrum.spectrum_map`), so the tests use it
 as an independent check.
 """
 
@@ -22,7 +22,6 @@ from sawmollow.bloch import (
     periodic_fundamental,
 )
 from sawmollow.model import DriveConfig, Spectrum
-from sawmollow.spectrum import _uniform_grid
 
 
 class UndecayedCorrelatorError(ValueError):
@@ -199,9 +198,3 @@ def transform_correlator(corr: CorrelatorSeries, freqs: np.ndarray,
                     coherent_freqs=coh_f[order], coherent_weights=coh_w[order],
                     meta=meta)
 
-
-def emission_spectrum(corr: CorrelatorSeries, freq_window, n_freq: int,
-                      decay_tol: float = 1e-4) -> Spectrum:
-    """Spectrum on a uniform grid over freq_window = (lo, hi) around the laser."""
-    return transform_correlator(corr, _uniform_grid(freq_window, n_freq),
-                                decay_tol)

@@ -40,11 +40,9 @@ from sawmollow.model import (
     TWO_PI,
     thermal_occupation,
 )
-from sawmollow.spectrum import (
-    SpectrumPipelineConfig,
-    resolvent_spectrum,
-    spectrum_map,
-)
+from sawmollow.spectrum import spectrum_map
+
+from grids import uniform_grid
 
 GHZ = TWO_PI * 1e9
 OMEGA_S_GHZ = 3.5299
@@ -71,7 +69,7 @@ def band_integral(spec, lo, hi):
 
 def test_criterion_01_mollow_reduction():
     drive = DriveConfig.from_ghz(0.0, 7.9, 0.0, OMEGA_S_GHZ)
-    spec = spectrum_map([drive], EMITTER)[0]
+    spec = spectrum_map([drive], EMITTER, uniform_grid())[0]
     peaks, _ = find_peaks(spec.intensity, height=0.05 * spec.intensity.max())
     positions = np.sort(spec.freqs_ghz[peaks])
     w = 2.0 * GHZ
@@ -100,7 +98,7 @@ def test_criterion_02_central_cancellation():
     g = EMITTER.gamma.rad
     modulated, baseline = spectrum_map(
         [DriveConfig.from_ghz(0.0, OMEGA_S_GHZ, rabi_s, OMEGA_S_GHZ)
-         for rabi_s in (1.75, 0.0)], EMITTER)
+         for rabi_s in (1.75, 0.0)], EMITTER, uniform_grid())
     on = band_integral(modulated, -g, g)
     off = band_integral(baseline, -g, g)
     ok = on <= 0.1 * off
@@ -118,15 +116,12 @@ def test_criterion_02_central_cancellation():
 
 def _cancellation_loci(rabi_s, span=4.25, n=35):
     g = EMITTER.gamma.rad
-    pipe = SpectrumPipelineConfig(
-        window=(Frequency.from_ghz(-8.0), Frequency.from_ghz(8.0)),
-        n_freq=1201)
+    freqs = uniform_grid(8.0, 1201)
     deltas = np.linspace(-span, span, n)
     vals = np.empty(n)
     for i, d in enumerate(deltas):
         cfg = DriveConfig.from_ghz(d, 2.625, rabi_s, OMEGA_S_GHZ)
-        vals[i] = band_integral(spectrum_map([cfg], EMITTER, pipeline=pipe)[0],
-                                -g, g)
+        vals[i] = band_integral(spectrum_map([cfg], EMITTER, freqs)[0], -g, g)
 
     def refine(side):
         sel = np.where(side)[0][1:-1]
@@ -416,7 +411,7 @@ def test_criterion_11_normalization_property():
                                    rng.uniform(0.3, 4.0),
                                    rng.uniform(0.0, 2.0),
                                    rng.uniform(2.5, 4.5))
-        spec = resolvent_spectrum(cfg, EMITTER, grid)
+        (spec,) = spectrum_map([cfg], EMITTER, grid)
         rho_ee_bar = spec.meta["rho_ee_bar"]
         total = spec.normalization + spec.coherent_total
         worst = max(worst, abs(total - rho_ee_bar) / max(rho_ee_bar, 1e-300))

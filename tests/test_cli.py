@@ -234,10 +234,14 @@ class TestSpectrumCommand:
         assert "underflows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_grid_exits_2(self, tmp_path, capsys):
-        assert run(["spectrum", "--points", 1,
-                    "--out", tmp_path / "x.csv"]) == 2
-        assert "n_freq" in capsys.readouterr().err
+    @pytest.mark.parametrize("grid", [["--points", 1], ["--window-ghz", 0],
+                                      ["--window-ghz", -3]],
+                             ids=["points=1", "window=0", "window=-3"])
+    def test_invalid_grid_exits_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", *grid, "--out", out]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_even_node_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -597,6 +601,21 @@ class TestMapsAndLines:
         rows = [l for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 15
 
+    @pytest.mark.parametrize("diffusion", [["--diffusion-mhz", 0], []])
+    def test_cooling_map_through_the_undriven_resonance(self, tmp_path,
+                                                        diffusion):
+        """At rabi_L = 0 the emitter emits nothing (rho_ee = 0), so the
+        rate is 0, also at the zero-detuning point (and diffusion node)
+        that has no cooling axis."""
+        out = tmp_path / "cool.csv"
+        assert run(["cooling-map", "--rabi-start", 0, "--rabi-stop", 1,
+                    "--delta-points", 3, "--rabi-points", 2, *diffusion,
+                    "--out", out]) == 0
+        rows = [[float(v) for v in row.split(",")]
+                for row in data_rows(out)[1:]]
+        assert [row[2:] for row in rows if row[1] == 0.0] == [[0.0, 0.0]] * 3
+        assert all(row[3] > 0.0 for row in rows if row[1] == 1.0)
+
     def test_lindblad_map_small(self, tmp_path):
         out = tmp_path / "lind.csv"
         assert run(["lindblad-map", "--temp-k", 0.1, "--m-max", 12,
@@ -678,6 +697,25 @@ class TestFitCommands:
         rows = dict(row.split(",") for row in data_rows(csv)[1:])
         assert rows.keys() == {"stderr", "target", "value"}
         assert abs(float(rows["value"]) - expected) < 1e-9
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1e308",
+                                        "config nan"])
+    def test_background_target_without_finite_value_exits_2(
+            self, tmp_path, capsys, recwarn, target):
+        """A non-finite target, or one whose extrapolation overflows, is a
+        config error naming --target: no numpy warning, no file."""
+        data, out = tmp_path / "bias.txt", tmp_path / "bg.csv"
+        data.write_text("\n".join(f"{v} {120.0 + 18.0 * v + 55.0 * v * v}"
+                                  for v in np.linspace(-1.0, 1.0, 10)))
+        if target == "config nan":
+            (tmp_path / "run.cfg").write_text("target = nan\n")
+            flags = ["--config", tmp_path / "run.cfg"]
+        else:
+            flags = [f"--target={target}"]
+        assert run(["background", "--data", data, *flags,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: --target")
+        assert not recwarn.list and not out.exists()
 
     def test_missing_data_file_exits_4(self, tmp_path, capsys):
         code = run(["fit-linear", "--data", tmp_path / "absent.txt",

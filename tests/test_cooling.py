@@ -29,7 +29,9 @@ from sawmollow.model import (
     Frequency,
     TWO_PI,
 )
-from sawmollow.spectrum import SpectrumPipelineConfig, spectrum_map
+from sawmollow.spectrum import spectrum_map
+
+from grids import uniform_grid
 
 GHZ = TWO_PI * 1e9
 
@@ -120,7 +122,7 @@ class TestSemiclassicalRates:
 
 class TestRateFromSpectrum:
     def test_symmetric_spectrum_gives_zero(self, emitter, drive_resonant):
-        spec = spectrum_map([drive_resonant], emitter)[0]
+        spec = spectrum_map([drive_resonant], emitter, uniform_grid())[0]
         rate = cooling_rate_from_spectrum(spec, drive_resonant.omega_S,
                                           Frequency.from_ghz(1.0))
         assert abs(rate) < 1e-3 * spec.normalization
@@ -130,7 +132,7 @@ class TestRateFromSpectrum:
         # a window edge grazing a satellite shoulder corrupts the baseline.
         for delta in (-2.36, 2.36):
             cfg = DriveConfig.from_ghz(delta, 2.625, 1.75, 3.5299)
-            spec = spectrum_map([cfg], emitter)[0]
+            spec = spectrum_map([cfg], emitter, uniform_grid())[0]
             extracted = cooling_rate_from_spectrum(
                 spec, cfg.omega_S, Frequency.from_ghz(0.8))
             rho = floquet_steady_state(BlochGenerator(cfg, emitter)).mean_rho_ee
@@ -142,9 +144,7 @@ class TestRateFromSpectrum:
         difference, evaluated on simulated spectra whose nine lines are
         resolved by >= 6.5 linewidths (narrow emitter, weak acoustic drive)."""
         emitter = EmitterParams.from_ghz(0.03)
-        pipe = SpectrumPipelineConfig(
-            window=(Frequency.from_ghz(-9), Frequency.from_ghz(9)),
-            n_freq=12001)
+        freqs = uniform_grid(9.0, 12001)
 
         def windowed(spec, center, half):
             sel = (spec.freqs >= center - half) & (spec.freqs <= center + half)
@@ -160,7 +160,7 @@ class TestRateFromSpectrum:
             assert gap > 6.5 * emitter.gamma.rad  # resolution precondition
             cs2 = 0.5 * (1.0 + cos2s)   # cos^2 theta_S
             ss2 = 0.5 * (1.0 - cos2s)   # sin^2 theta_S
-            spec = spectrum_map([cfg], emitter, pipeline=pipe)[0]
+            spec = spectrum_map([cfg], emitter, freqs)[0]
             half = 0.4 * gap
             inten = lambda c: windowed(spec, c, half)
             lhs = (inten(-ws) + 2 * ss2 * inten(-ws + gap)
@@ -173,15 +173,13 @@ class TestRateFromSpectrum:
 
     def test_warns_when_satellite_enters_window(self, emitter):
         cfg = DriveConfig.from_ghz(0.0, 3.0, 1.0, 3.5299)
-        spec = spectrum_map([cfg], emitter)[0]
+        spec = spectrum_map([cfg], emitter, uniform_grid())[0]
         with pytest.warns(ResolutionWarning):
             cooling_rate_from_spectrum(spec, cfg.omega_S,
                                        Frequency.from_ghz(1.5))
 
     def test_rejects_uncovered_sidebands(self, emitter, drive_resonant):
-        pipe = SpectrumPipelineConfig(
-            window=(Frequency.from_ghz(-2.0), Frequency.from_ghz(2.0)))
-        spec = spectrum_map([drive_resonant], emitter, pipeline=pipe)[0]
+        spec = spectrum_map([drive_resonant], emitter, uniform_grid(2.0))[0]
         with pytest.raises(ValueError):
             cooling_rate_from_spectrum(spec, drive_resonant.omega_S,
                                        Frequency.from_ghz(1.0))

@@ -204,6 +204,11 @@ class TestLinearAndBackground:
         with pytest.raises(np.linalg.LinAlgError):
             fit_linear_through_origin(np.column_stack([np.zeros(5),
                                                        np.ones(5)]))
+        # With an intercept a constant nonzero abscissa is degenerate too.
+        with pytest.raises(np.linalg.LinAlgError, match="all x equal"):
+            fit_linear_through_origin(np.column_stack([np.full(5, 0.3),
+                                                       np.arange(5.0)]),
+                                      intercept=True)
 
     def test_exact_quadratic_extrapolates_exactly(self):
         biases = np.array([-1.0, -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.8, 1.0])

@@ -16,26 +16,23 @@ from sawmollow.spectrum import (
     AliasingError,
     GridMismatchError,
     InstrumentModel,
-    SpectrumPipelineConfig,
     _diffusion_nodes,
     _node_spectra,
     _node_sweep,
     _outcomes,
     _regression_source,
     _sweep,
-    _uniform_grid,
     apply_etalon,
     apply_spectral_diffusion,
-    resolvent_spectrum,
     spectrum_map,
 )
 
 from correlator_oracle import (
     UndecayedCorrelatorError,
-    emission_spectrum,
     transform_correlator,
     two_time_correlator,
 )
+from grids import uniform_grid
 
 GHZ = TWO_PI * 1e9
 
@@ -45,6 +42,11 @@ def band_integral(spec, lo, hi):
     (rad/s offsets from the laser)."""
     sel = (spec.freqs >= lo) & (spec.freqs <= hi)
     return float(np.trapezoid(spec.intensity[sel], spec.freqs[sel]))
+
+
+def one_node(drive, emitter, freqs):
+    """Pre-instrument spectrum of drive, alone in its resolvent call."""
+    return next(_node_spectra([drive], emitter, freqs, 1e-10))
 
 
 def static_correlator_oracle(drive, emitter, taus):
@@ -157,9 +159,7 @@ class TestCorrelator:
 
 class TestEmissionSpectrum:
     def test_mollow_triplet_peaks_and_ratio(self, mollow_corr):
-        spec = emission_spectrum(mollow_corr,
-                                 (Frequency.from_ghz(-12), Frequency.from_ghz(12)),
-                                 2001)
+        spec = transform_correlator(mollow_corr, uniform_grid(12.0, 2001))
         g = spec.freqs_ghz
         # three local maxima, at 0 and +-7.9 GHz
         from scipy.signal import find_peaks
@@ -191,7 +191,7 @@ class TestEmissionSpectrum:
         assert total == pytest.approx(corr.rho_ee_bar, rel=1e-3)
 
     def test_symmetric_at_zero_detuning(self, emitter, drive_resonant):
-        spec = spectrum_map([drive_resonant], emitter)[0]
+        spec = spectrum_map([drive_resonant], emitter, uniform_grid())[0]
         flipped = spec.intensity[::-1]
         assert np.max(np.abs(spec.intensity - flipped)) < 1e-3 * spec.intensity.max()
 
@@ -200,7 +200,7 @@ class TestEmissionSpectrum:
                                                     drive_unmodulated):
         g = emitter.gamma.rad
         with_drive, without = spectrum_map([drive_resonant, drive_unmodulated],
-                                           emitter)
+                                           emitter, uniform_grid())
         on = band_integral(with_drive, -g, g)
         off = band_integral(without, -g, g)
         assert on < 0.1 * off
@@ -210,21 +210,17 @@ class TestEmissionSpectrum:
         gen = BlochGenerator(drive_resonant, emitter)
         corr = two_time_correlator(gen, 2.0 / emitter.gamma.rad, 2e-12)
         with pytest.raises(UndecayedCorrelatorError) as err:
-            emission_spectrum(corr, (Frequency.from_ghz(-12),
-                                     Frequency.from_ghz(12)), 501)
+            transform_correlator(corr, uniform_grid(12.0, 501))
         assert "tau_max" in str(err.value)
 
     def test_aliasing_guard(self, emitter, drive_resonant):
         gen = BlochGenerator(drive_resonant, emitter)
         corr = two_time_correlator(gen, 30.0 / emitter.gamma.rad, 2e-11)
         with pytest.raises(ValueError, match="alias"):
-            emission_spectrum(corr, (Frequency.from_ghz(-40),
-                                     Frequency.from_ghz(40)), 501)
+            transform_correlator(corr, uniform_grid(40.0, 501))
 
     def test_intensity_clipped_not_negative(self, mollow_corr):
-        spec = emission_spectrum(mollow_corr,
-                                 (Frequency.from_ghz(-12), Frequency.from_ghz(12)),
-                                 2001)
+        spec = transform_correlator(mollow_corr, uniform_grid(12.0, 2001))
         assert np.min(spec.intensity) >= -1e-9 * spec.intensity.max()
         # Pre-clip dips are truncation ringing at the decay-tolerance scale;
         # the recorded trough stays well inside that bound.
@@ -236,11 +232,11 @@ class TestEmissionSpectrum:
         by less than 1e-3 of its peak."""
         gen = BlochGenerator(drive_resonant, emitter)
         g = emitter.gamma.rad
-        window = (Frequency.from_ghz(-12), Frequency.from_ghz(12))
-        base = emission_spectrum(
-            two_time_correlator(gen, 30.0 / g, 1.0417e-11), window, 801)
-        fine = emission_spectrum(
-            two_time_correlator(gen, 60.0 / g, 0.52085e-11), window, 801)
+        freqs = uniform_grid(12.0, 801)
+        base = transform_correlator(
+            two_time_correlator(gen, 30.0 / g, 1.0417e-11), freqs)
+        fine = transform_correlator(
+            two_time_correlator(gen, 60.0 / g, 0.52085e-11), freqs)
         dev = np.max(np.abs(base.intensity - fine.intensity))
         assert dev < 1e-3 * base.intensity.max()
 
@@ -269,7 +265,7 @@ class TestResolventSpectrum:
         corr = two_time_correlator(gen, 30.0 / emitter.gamma.rad,
                                    math.pi / (4.0 * 12.0 * GHZ), n_phase=16)
         oracle = transform_correlator(corr, freqs)
-        spec = resolvent_spectrum(drive, emitter, freqs)
+        (spec,) = spectrum_map([drive], emitter, freqs)
         peak = oracle.intensity.max()
         assert np.max(np.abs(spec.intensity - oracle.intensity)) <= 1e-6 * peak
         assert spec.meta["rho_ee_bar"] == pytest.approx(oracle.meta["rho_ee_bar"],
@@ -293,16 +289,10 @@ class TestResolventSpectrum:
 
     def test_truncation_is_the_floquet_order(self, emitter, drive_resonant):
         freqs = np.linspace(-5.0, 5.0, 11) * GHZ
-        spec = resolvent_spectrum(drive_resonant, emitter, freqs)
+        (spec,) = spectrum_map([drive_resonant], emitter, freqs)
         fs = floquet_steady_state(BlochGenerator(drive_resonant, emitter))
         assert spec.meta["n_harmonics"] == fs.n_harmonics
         assert spec.meta["floquet_residual"] == fs.residual
-
-    def test_rejects_bad_grid(self, emitter, drive_resonant):
-        for freqs in ([0.0], [1.0, 0.0], [[0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                resolvent_spectrum(drive_resonant, emitter,
-                                   np.asarray(freqs) * GHZ)
 
 
 # Drive and diffusion FWHM (GHz): the oracle drives, and one whose nodes
@@ -354,13 +344,13 @@ class TestBatchedNodes:
         assert a.meta == b.meta
 
     @pytest.mark.parametrize("name", ["mixed_orders", "rabi_resonance"])
-    def test_resolvent_spectrum_is_the_one_node_case(self, emitter, name):
+    def test_batched_spectra_equal_one_node_calls(self, emitter, name):
         nodes = self.node_drives(name)
         specs = list(_node_spectra(nodes, emitter, self.freqs, 1e-10))
         assert len(specs) == len(nodes)
         for drive, spec in zip(nodes, specs):
             self.assert_same_spectrum(
-                spec, resolvent_spectrum(drive, emitter, self.freqs))
+                spec, one_node(drive, emitter, self.freqs))
 
     def test_drives_of_different_rabi_frequencies_batch_apart(self, emitter):
         """Nodes of two drives that differ in rabi_L and rabi_S, interleaved
@@ -371,7 +361,7 @@ class TestBatchedNodes:
         specs = _node_spectra(nodes, emitter, self.freqs, 1e-10)
         for drive, spec in zip(nodes, specs):
             self.assert_same_spectrum(
-                spec, resolvent_spectrum(drive, emitter, self.freqs))
+                spec, one_node(drive, emitter, self.freqs))
 
     def test_batch_is_split_on_large_grids(self, emitter, monkeypatch):
         """Above 2**16 nodes x frequencies a batch is split, one node per
@@ -390,8 +380,7 @@ class TestBatchedNodes:
         assert widths == [1, 1, 1]
         monkeypatch.undo()
         for drive, spec in zip(nodes, specs):
-            self.assert_same_spectrum(
-                spec, resolvent_spectrum(drive, emitter, freqs))
+            self.assert_same_spectrum(spec, one_node(drive, emitter, freqs))
 
     def test_failing_node_keeps_its_own_exception(self, emitter, monkeypatch):
         """When a node's limit cycle fails, the sweep reruns the nodes one by
@@ -415,8 +404,7 @@ class TestBatchedNodes:
         monkeypatch.undo()
         for k in (0, 2):
             self.assert_same_spectrum(
-                outcomes[k][1],
-                resolvent_spectrum(nodes[k], emitter, self.freqs))
+                outcomes[k][1], one_node(nodes[k], emitter, self.freqs))
 
 
 class TestSpectralDiffusion:
@@ -425,15 +413,13 @@ class TestSpectralDiffusion:
         so the pipeline without instrument is bit for bit the one drive's
         resolvent spectrum."""
         _, weights = _diffusion_nodes(0.0, 5)
-        pipe = SpectrumPipelineConfig(n_freq=101)
-        spec = resolvent_spectrum(drive_resonant, emitter,
-                                  _uniform_grid(pipe.window, pipe.n_freq),
-                                  pipe.floquet_tol)
+        freqs = uniform_grid(12.0, 101)
+        spec = one_node(drive_resonant, emitter, freqs)
         averaged = apply_spectral_diffusion([spec], weights, drive_resonant)
         assert np.array_equal(averaged.intensity, spec.intensity)
         assert np.array_equal(averaged.coherent_weights, spec.coherent_weights)
         assert averaged.drive.delta.rad == 0.0
-        (piped,) = spectrum_map([drive_resonant], emitter, pipeline=pipe)
+        (piped,) = spectrum_map([drive_resonant], emitter, freqs)
         assert piped.intensity.tobytes() == spec.intensity.tobytes()
         assert piped.coherent_freqs.tobytes() == spec.coherent_freqs.tobytes()
         assert (piped.coherent_weights.tobytes()
@@ -478,13 +464,10 @@ class TestSpectralDiffusion:
         are the worst over its nodes, not node 0's."""
         drive = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
-        pipe = SpectrumPipelineConfig(
-            window=(Frequency.from_ghz(-9.0), Frequency.from_ghz(9.0)),
-            n_freq=101, n_diffusion_nodes=21)
-        (spec,) = spectrum_map([drive], emitter, model, pipe)
+        (spec,) = spectrum_map([drive], emitter, uniform_grid(9.0, 101),
+                               model, n_nodes=21)
         offsets, _ = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
-        nodes = [resolvent_spectrum(drive.replace_delta(off), emitter,
-                                    spec.freqs, pipe.floquet_tol).meta
+        nodes = [one_node(drive.replace_delta(off), emitter, spec.freqs).meta
                  for off in offsets]
         residuals = [meta["floquet_residual"] for meta in nodes]
         assert spec.meta["floquet_residual"] == max(residuals)
@@ -499,9 +482,8 @@ class TestSpectralDiffusion:
         less than 1e-4 of the peak."""
         drive = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
-        s21, s41 = (spectrum_map([drive], emitter, model,
-                                 SpectrumPipelineConfig(
-                                     n_freq=801, n_diffusion_nodes=n))[0]
+        s21, s41 = (spectrum_map([drive], emitter, uniform_grid(12.0, 801),
+                                 model, n_nodes=n)[0]
                     for n in (21, 41))
         dev = np.max(np.abs(s21.intensity - s41.intensity))
         assert dev < 1e-4 * s41.intensity.max()
@@ -538,19 +520,15 @@ class TestEtalon:
         assert out.normalization == pytest.approx(0.7, rel=1e-6)
 
     def test_integral_preserved(self, emitter, drive_resonant):
-        pipe = SpectrumPipelineConfig(
-            window=(Frequency.from_ghz(-9.9), Frequency.from_ghz(9.9)))
-        spec = spectrum_map([drive_resonant], emitter, pipeline=pipe)[0]
+        spec = spectrum_map([drive_resonant], emitter, uniform_grid(9.9))[0]
         model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
         out = apply_etalon(spec, model)
         expected = spec.normalization + spec.coherent_total
         assert out.normalization == pytest.approx(expected, rel=1e-6)
 
     def test_zero_width_is_identity(self, emitter, drive_resonant):
-        pipe = SpectrumPipelineConfig(
-            window=(Frequency.from_ghz(-9.9), Frequency.from_ghz(9.9)),
-            n_freq=301)
-        spec = spectrum_map([drive_resonant], emitter, pipeline=pipe)[0]
+        spec = spectrum_map([drive_resonant], emitter,
+                            uniform_grid(9.9, 301))[0]
         model = InstrumentModel(etalon_fwhm=Frequency(0.0))
         out = apply_etalon(spec, model)
         assert np.array_equal(out.intensity, spec.intensity)
@@ -569,8 +547,7 @@ class TestSpectrumMap:
     def test_unmodulated_sweep_reduces_to_mollow_fan(self, emitter):
         sweep = [DriveConfig.from_ghz(0.0, wl, 0.0, 3.5299)
                  for wl in (3.0, 5.0)]
-        pipe = SpectrumPipelineConfig(n_freq=1201)
-        specs = spectrum_map(sweep, emitter, None, pipe)
+        specs = spectrum_map(sweep, emitter, uniform_grid(12.0, 1201))
         from scipy.signal import find_peaks
         for wl, spec in zip((3.0, 5.0), specs):
             peaks, _ = find_peaks(spec.intensity,
@@ -582,8 +559,7 @@ class TestSpectrumMap:
     def test_order_preserved_and_drive_recorded(self, emitter):
         sweep = [DriveConfig.from_ghz(d, 2.625, 1.75, 3.5299)
                  for d in (-1.0, 0.0, 1.0)]
-        pipe = SpectrumPipelineConfig(n_freq=301)
-        specs = spectrum_map(sweep, emitter, None, pipe)
+        specs = spectrum_map(sweep, emitter, uniform_grid(12.0, 301))
         assert [s.drive.delta.ghz for s in specs] == [-1.0, 0.0, 1.0]
 
     def test_failures_aggregated_with_indices(self, emitter):
@@ -591,18 +567,18 @@ class TestSpectrumMap:
         # A Floquet tolerance below double-precision rounding is never met,
         # so every config raises ConvergenceError once the truncation cap
         # is reached.
-        pipe = SpectrumPipelineConfig(n_freq=101, floquet_tol=1e-20)
         with pytest.raises(RuntimeError, match="index 0") as err:
-            spectrum_map([good], emitter, None, pipe)
+            spectrum_map([good], emitter, uniform_grid(12.0, 101),
+                         floquet_tol=1e-20)
         assert "harmonic balance not converged" in str(err.value)
 
     def test_parallel_failure_keeps_class_and_message(self, emitter):
         good = DriveConfig.from_ghz(0.0, 2.0, 0.0, 3.5299)
-        pipe = SpectrumPipelineConfig(n_freq=101, floquet_tol=1e-20)
         raised = []
         for jobs in (1, 2):
             with pytest.raises(ConvergenceError) as err:
-                spectrum_map([good, good], emitter, None, pipe, jobs=jobs)
+                spectrum_map([good, good], emitter, uniform_grid(12.0, 101),
+                             floquet_tol=1e-20, jobs=jobs)
             raised.append((str(err.value), err.value.residual,
                            err.value.__notes__))
         assert raised[0] == raised[1]
@@ -613,10 +589,9 @@ class TestSpectrumMap:
     def test_diffused_failure_note_names_point_and_node(self, emitter, jobs):
         sweep = [DriveConfig.from_ghz(d, 2.0, 0.0, 3.5299) for d in (0.0, 1.0)]
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
-        pipe = SpectrumPipelineConfig(n_freq=101, n_diffusion_nodes=3,
-                                      floquet_tol=1e-20)
         with pytest.raises(ConvergenceError) as err:
-            spectrum_map(sweep, emitter, model, pipe, jobs=jobs)
+            spectrum_map(sweep, emitter, uniform_grid(12.0, 101), model,
+                         n_nodes=3, floquet_tol=1e-20, jobs=jobs)
         (note,) = err.value.__notes__
         assert note.startswith("6 of 6 sweep point(s) failed: index 0, node 0:")
         for i in (0, 1):
@@ -633,9 +608,9 @@ class TestSpectrumMap:
         monkeypatch.setattr(spectrum, "floquet_steady_state", no_compute)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
         drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
-        pipe = SpectrumPipelineConfig(n_freq=101, n_diffusion_nodes=4)
         with pytest.raises(ValueError, match="n_nodes"):
-            spectrum_map([drive], emitter, model, pipe)
+            spectrum_map([drive], emitter, uniform_grid(12.0, 101), model,
+                         n_nodes=4)
 
     def test_etalon_window_beyond_fsr_rejected_before_compute(
             self, emitter, monkeypatch):
@@ -649,18 +624,49 @@ class TestSpectrumMap:
                                 etalon_fsr=Frequency.from_ghz(20.0))
         drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
         with pytest.raises(AliasingError):
-            spectrum_map([drive], emitter, model, SpectrumPipelineConfig())
+            spectrum_map([drive], emitter, uniform_grid(), model)
+
+    def test_bad_grid_rejected_before_compute(self, emitter, monkeypatch):
+        import sawmollow.spectrum as spectrum
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("spectrum computed before the grid check")
+
+        monkeypatch.setattr(spectrum, "floquet_steady_state", no_compute)
+        drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
+        for freqs in ([0.0], [1.0, 0.0], [0.0, 0.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                spectrum_map([drive], emitter, np.asarray(freqs) * GHZ)
 
     def test_empty_sweep_rejected(self, emitter):
         with pytest.raises(ValueError):
-            spectrum_map([], emitter)
+            spectrum_map([], emitter, uniform_grid())
+
+    def test_non_uniform_grid_conserves_weight_under_diffusion(self, emitter):
+        """Criterion 11's grid (a dense core to +-16 GHz, wings to +-160
+        GHz) through the diffusion average: the incoherent integral plus
+        the coherent weight is the averaged excited population."""
+        rng = np.random.default_rng(777)
+        core = np.linspace(-16.0, 16.0, 3201) * GHZ
+        wing = np.concatenate([np.linspace(16.25, 60.0, 176),
+                               np.linspace(60.5, 160.0, 200)]) * GHZ
+        grid = np.concatenate([-wing[::-1], core, wing])
+        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
+        sweep = [DriveConfig.from_ghz(rng.uniform(-4.0, 4.0),
+                                      rng.uniform(0.3, 4.0),
+                                      rng.uniform(0.0, 2.0),
+                                      rng.uniform(2.5, 4.5)) for _ in range(5)]
+        for spec in spectrum_map(sweep, emitter, grid, model):
+            rho_ee_bar = spec.meta["rho_ee_bar"]
+            total = spec.normalization + spec.coherent_total
+            assert abs(total - rho_ee_bar) < 1e-3 * rho_ee_bar
 
     def test_parallel_jobs_match_serial(self, emitter):
         sweep = [DriveConfig.from_ghz(d, 2.625, 1.75, 3.5299)
                  for d in (-0.5, 0.5)]
-        pipe = SpectrumPipelineConfig(n_freq=201)
-        serial = spectrum_map(sweep, emitter, None, pipe, jobs=1)
-        parallel = spectrum_map(sweep, emitter, None, pipe, jobs=2)
+        freqs = uniform_grid(12.0, 201)
+        serial = spectrum_map(sweep, emitter, freqs, jobs=1)
+        parallel = spectrum_map(sweep, emitter, freqs, jobs=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.intensity, b.intensity)
 

@@ -9,7 +9,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sawmollow"
 
 # Public names that no module under src/ reads, each with why it stays.
 UNREAD = {
-    "resolvent_spectrum": "the one spectrum entry for a non-uniform grid",
     "absorption_spectrum": "the forward model the fit tests draw data from",
     "cooling_rate_from_spectrum": "sideband rate, kept until an exact rate "
                                   "replaces it",
