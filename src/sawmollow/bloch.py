@@ -216,14 +216,16 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     cancels against itself.  In that basis H acts as P = [[0, h], [h, 0]].
     Eliminating each tail from its outermost order toward k = 0 replaces
     K_k by K_k - P K_{k+-1}^-1 P and r_k by r_k - P q_{k+-1}, with
-    q = K^-1 r (Risken, The Fokker-Planck Equation, ch. 9).
+    q = K^-1 r (Risken, The Fokker-Planck Equation, ch. 9).  K_k = [[sigma,
+    i delta], [i delta, sigma + rabi_L^2 / z]] is complex symmetric, and
+    P K^-1 P keeps it so: one off-diagonal entry is carried per block.
 
     s is a scalar, evaluated with Python complex arithmetic, or an array,
     over which every step is vectorized; d may then carry a node axis,
     (2n + 1, 3, nodes, 1), with delta the (nodes, 1) column of detunings.
     Returns (y0, upper, lower): the central block's (s+, s-, s_z) and, with
-    no node axis, the +k and -k tails' factors (K^-1 entries i00, i01,
-    i10, i11, q_p, q_m, 1/z) of orders 1..n, which give every other block:
+    no node axis, the +k and -k tails' factors (K^-1 entries i00, i01 = i10,
+    i11, then q_p, q_m, 1/z) of orders 1..n, which give every other block:
     (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1}, s_z = (d_z - i rabi_L m) / z.
     For a float s and D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-;
     S P S = P), G_-k = S conj(G_k) S: the -k tail mirrors the +k one; it is
@@ -241,39 +243,37 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     upper, lower = [], []
     mirror = (isinstance(s, float) and rows.count([0j, 0j, 0j]) == 2 * n
               and rows[n][0] == rows[n][1].conjugate() and not rows[n][2].imag)
-    # Each tail runs inward carrying P K^-1 P (s0..s3) and P q (pq0, pq1);
-    # the -k tail, or in the mirror case c mirrored, meets c at k = 0.
+    # Each tail runs inward carrying P K^-1 P (s0, s1 = s2, s3) and P q (pq0,
+    # pq1); the -k tail, or in the mirror case c mirrored, meets c at k = 0.
     for factors, orders in ((upper, range(n, 0, -1)),
                             (lower, range(0 if mirror else -n, 1))):
-        s0 = s1 = s2 = s3 = pq0 = pq1 = 0.0
+        s0 = s1 = s3 = pq0 = pq1 = 0.0
         if mirror and factors is lower:
             v = [x.conjugate() for x in c]
-            s0, s1, s2, s3, pq0, pq1 = v[0], -v[1], -v[2], v[3], v[4], -v[5]
+            s0, s1, s3, pq0, pq1 = v[0], -v[1], v[2], v[3], -v[4]
         for k in orders:
             if not k:
-                s0, s1, s2, s3 = s0 + c[0], s1 + c[1], s2 + c[2], s3 + c[3]
-                pq0, pq1 = pq0 + c[4], pq1 + c[5]
+                s0, s1, s3 = s0 + c[0], s1 + c[1], s3 + c[2]
+                pq0, pq1 = pq0 + c[3], pq1 + c[4]
             d0, d1, d2 = rows[n + k]
             ikw = 1j * k * w
             inv_z = 1.0 / (s + (ikw + g))
             sigma = s + (ikw + 0.5 * g)
             k00 = sigma - s0
             k01 = i_delta - s1
-            k10 = i_delta - s2
             k11 = sigma + wl2 * inv_z - s3
             r0 = (d0 + d1) - pq0
             r1 = (d0 - d1) - (1j * wl * d2) * inv_z - pq1
-            inv_det = 1.0 / (k00 * k11 - k01 * k10)
-            i00, i01 = k11 * inv_det, -k01 * inv_det
-            i10, i11 = -k10 * inv_det, k00 * inv_det
-            q0 = i00 * r0 + i01 * r1
-            q1 = i10 * r0 + i11 * r1
+            inv_det = 1.0 / (k00 * k11 - k01 * k01)   # K^-1 off-diagonal: -j01
+            i00, j01, i11 = k11 * inv_det, k01 * inv_det, k00 * inv_det
+            q0 = i00 * r0 - j01 * r1
+            q1 = i11 * r1 - j01 * r0
             if store and k:
-                factors.append((i00, i01, i10, i11, q0, q1, inv_z))
+                factors.append((i00, -j01, i11, q0, q1, inv_z))
             # P M P = h^2 [[M11, M10], [M01, M00]], h^2 = -rabi_S^2.
-            s0, s1, s2, s3 = -rs2 * i11, -rs2 * i10, -rs2 * i01, -rs2 * i00
+            s0, s1, s3 = -rs2 * i11, rs2 * j01, -rs2 * i00
             pq0, pq1 = h * q1, h * q0
-        c = (s0, s1, s2, s3, pq0, pq1)
+        c = (s0, s1, s3, pq0, pq1)
     upper.reverse()
     lower.reverse()
     y_z = (rows[n][2] - 1j * wl * q1) * inv_z   # k = 0 came last: q = (p, m)_0
@@ -326,10 +326,10 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         y0, upper, _ = _sambe_solve(gen, d, 0.0)
         rows = [y0] * (2 * n + 1)
         p, m = y0[0] + y0[1], y0[0] - y0[1]
-        for j, (i00, i01, i10, i11, q_p, q_m, inv_z) in enumerate(upper, 1):
+        for j, (i00, i01, i11, q_p, q_m, inv_z) in enumerate(upper, 1):
             hm, hp = h * m, h * p
             p = q_p - (i00 * hm + i01 * hp)
-            m = q_m - (i10 * hm + i11 * hp)
+            m = q_m - (i01 * hm + i11 * hp)
             # d_z vanishes off k = 0; x_-k is the mirror of x_k.
             sp, sm, sz = 0.5 * (p + m), 0.5 * (p - m), -1j * wl * m * inv_z
             rows[n + j] = (sp, sm, sz)

@@ -93,18 +93,15 @@ _ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
 def _fmt(x) -> str:
     """A value as locale-independent text: full double precision, escaped
     control characters."""
+    if isinstance(x, float):   # np.float64 too; nan, inf and -inf as such
+        return format(x, ".17g")
     if isinstance(x, str):
         return x.translate(_ESCAPES)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(x), ".17g")
 
 
 def _plain(obj):
@@ -169,7 +166,7 @@ def emit(rows, columns, path, fmt, meta):
                     fh.write(f"# {key} = {_fmt(v)}\n")
                 fh.write(",".join(columns) + "\n")
                 for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                    fh.write(",".join(map(_fmt, row)) + "\n")
             else:
                 json.dump(_plain(payload), fh, sort_keys=True, allow_nan=False)
                 fh.write("\n")
@@ -183,8 +180,8 @@ def emit(rows, columns, path, fmt, meta):
 
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")   # a value, also -9.8e-08
 
-# Every flag once: its argparse keywords and, for a frequency, its unit.
-# COMMANDS lists the flags each command takes and its own defaults.
+# Every flag once: its argparse keywords, a frequency's unit and a count's or
+# window's floor, `above`.  COMMANDS lists each command's flags and defaults.
 FLAGS = {
     "config": dict(help="key = value file; flags override it"),
     "out": dict(help="output file path"),
@@ -207,16 +204,16 @@ FLAGS = {
     "sweep": dict(choices=("rabi-l", "delta"), default="rabi-l"),
     "sweep-start": dict(type=float, default=0.5, unit="GHz"),
     "sweep-stop": dict(type=float, default=5.5, unit="GHz"),
-    "sweep-points": dict(type=int),
+    "sweep-points": dict(type=int, above=0),
     "delta-start": dict(type=float, default=-5.0, unit="GHz"),
     "delta-stop": dict(type=float, default=5.0, unit="GHz"),
-    "delta-points": dict(type=int),
+    "delta-points": dict(type=int, above=0),
     "rabi-start": dict(type=float, unit="GHz"),
     "rabi-stop": dict(type=float, unit="GHz"),
-    "rabi-points": dict(type=int),
-    "window-ghz": dict(type=float, default=12.0, unit="GHz",
+    "rabi-points": dict(type=int, above=0),
+    "window-ghz": dict(type=float, default=12.0, unit="GHz", above=0,
                        help="half-width of the frequency window"),
-    "points": dict(type=int, default=2001),
+    "points": dict(type=int, default=2001, above=1),
     "nodes": dict(type=int,
                   help="Gauss-Hermite nodes for the diffusion average"),
     "jobs": dict(type=int, default=1, help="parallel workers"),
@@ -279,9 +276,10 @@ def _drive_sweep(args):
     return values, [_drive(args, delta=v) for v in values], "delta_GHz"
 
 
-def _spectrum_rows(spec: Spectrum, prefix=()):
-    for f_ghz, inten in zip(spec.freqs_ghz, spec.intensity):
-        yield (*prefix, f_ghz, inten * GHZ)
+def _spectrum_rows(spec: Spectrum, prefix=()) -> list:
+    """(*prefix, offset in GHz, intensity per GHz) rows as Python floats."""
+    return [(*prefix, f_ghz, inten) for f_ghz, inten in
+            zip(spec.freqs_ghz.tolist(), (spec.intensity * GHZ).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +545,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(func=func)
         for flag in flags if command in (None, name) else ():
-            kw = {k: v for k, v in FLAGS[flag].items() if k != "unit"}
+            kw = {k: v for k, v in FLAGS[flag].items()
+                  if k not in ("unit", "above")}
             value = own.get(flag, {})
             kw.update(value if isinstance(value, dict) else {"default": value})
             p.add_argument(f"--{flag}", **kw)
@@ -595,15 +594,17 @@ def _with_config(argv: list) -> list:
     return [*argv[:at], *flags, *argv[at:]]
 
 
-def _check_frequency_flags(args) -> None:
-    """Every frequency flag's value must be finite; an error names the flag
-    and its unit."""
+def _check_flags(args) -> None:
+    """Every frequency flag's value must be finite and every count or window
+    above its floor; an error names the flag."""
     for dest, value in vars(args).items():
         flag = dest.replace("_", "-")
-        unit = FLAGS.get(flag, {}).get("unit")
+        unit, above = (FLAGS.get(flag, {}).get(k) for k in ("unit", "above"))
         if unit and value is not None and not math.isfinite(value):
             raise ConfigError(f"--{flag} must be a finite frequency in {unit}, "
                               f"got {value}")
+        if above is not None and value is not None and not value > above:
+            raise ConfigError(f"--{flag} must be above {above}, got {value}")
 
 
 def _report(kind: str, exc: BaseException) -> None:
@@ -617,7 +618,7 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(_with_config(argv))
-        _check_frequency_flags(args)
+        _check_flags(args)
         if "out" in args and not args.out:
             raise ConfigError("--out is required for this command")
         return args.func(args)

@@ -204,6 +204,8 @@ def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
     average (diffusion_fwhm = 0 is one node of weight 1).  jobs > 1 spreads
     the solves over worker processes.
     """
+    if not floquet_tol > 0:
+        raise ValueError("tol must be positive")
     offsets, weights = _diffusion_nodes(_as_rad(diffusion_fwhm), n_nodes)
     kernel = partial(_rate_point, emitter, floquet_tol)
     rate, rho = _grid_sweep(kernel, deltas, rabi_Ls, template, offsets, jobs)

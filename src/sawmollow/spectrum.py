@@ -259,8 +259,10 @@ def apply_spectral_diffusion(specs, weights, drive: DriveConfig) -> Spectrum:
 
 
 def _lorentzian(nu: np.ndarray, fwhm: float) -> np.ndarray:
+    """(hw / pi) / (nu^2 + hw^2), hw = fwhm / 2, written over nu's buffer."""
     hw = 0.5 * fwhm
-    return (hw / math.pi) / (nu * nu + hw * hw)
+    nu = np.add(np.square(nu, out=nu), hw * hw, out=nu)
+    return np.divide(hw / math.pi, nu, out=nu)
 
 
 def _check_etalon_window(window: float, model: InstrumentModel) -> None:
@@ -286,10 +288,8 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
 
     freqs = spec.freqs
     n = freqs.size
-    w = np.empty(n)
-    w[1:-1] = 0.5 * (freqs[2:] - freqs[:-2])
-    w[0] = 0.5 * (freqs[1] - freqs[0])
-    w[-1] = 0.5 * (freqs[-1] - freqs[-2])
+    edge = np.pad(freqs, 1, mode="edge")   # trapezoid weights of the grid
+    w = 0.5 * (edge[2:] - edge[:-2])
 
     out = np.zeros(n)
     chunk = 512
@@ -313,8 +313,8 @@ def spectrum_map(sweep, emitter: EmitterParams, freqs,
 
     freqs are offsets from the laser in rad/s, strictly increasing (not
     necessarily uniform); n_nodes is the Gauss-Hermite order of the
-    diffusion average.  An invalid grid or node count raises ValueError,
-    and a window wider than the etalon's free spectral range
+    diffusion average.  An invalid grid, node count or tolerance raises
+    ValueError, and a window wider than the etalon's free spectral range
     :class:`AliasingError`, before any spectrum is computed.  Every drive
     runs at every diffusion node through :func:`_node_sweep` (jobs > 1
     spreads the nodes over worker processes), then the node spectra are
@@ -326,6 +326,8 @@ def spectrum_map(sweep, emitter: EmitterParams, freqs,
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
         raise ValueError("freqs must be a strictly increasing 1-d grid")
+    if not floquet_tol > 0:
+        raise ValueError("tol must be positive")
     model = instrument or InstrumentModel()
     offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, n_nodes)
     if model.etalon_fwhm.rad > 0:

@@ -18,7 +18,8 @@ from sawmollow.bloch import (
     periodic_fundamental,
     propagate,
 )
-from sawmollow.model import DomainError, DriveConfig, EmitterParams, Frequency
+from sawmollow.model import (GHZ, DomainError, DriveConfig, EmitterParams,
+                             Frequency)
 
 
 def closed_form_rho_ee(delta, rabi, gamma):
@@ -46,15 +47,16 @@ def time_domain_residual(gen, sol, n_points=4096):
     return float(np.max(np.abs(res))) / gen.rate_scale
 
 
-def dense_harmonic_balance(gen, n, d=None):
+def dense_harmonic_balance(gen, n, d=None, s=0.0):
     """Harmonics x_{-n..n} from one dense solve of the harmonic-balance
-    system (A - i k w) x_k + (B/2)(x_{k-1} + x_{k+1}) = -d_k, that is of
-    (0 - L) x = d; d defaults to b delta_k0, which gives the limit cycle."""
+    system (A - i k w - s) x_k + (B/2)(x_{k-1} + x_{k+1}) = -d_k, that is
+    of (s - L) x = d; d defaults to b delta_k0, which at s = 0 gives the
+    limit cycle."""
     w = gen.drive.omega_S.rad
     size = 2 * n + 1
     op = np.zeros((size, 3, size, 3), dtype=complex)
     for j in range(size):
-        op[j, :, j] = gen.static_part - 1j * (j - n) * w * np.eye(3)
+        op[j, :, j] = gen.static_part - (1j * (j - n) * w + s) * np.eye(3)
         if j > 0:
             op[j, :, j - 1] = 0.5 * gen.modulation_part
         if j < size - 1:
@@ -410,6 +412,36 @@ class TestMirroredTail:
         assert np.max(np.abs(np.array(y0) - ref)) <= \
             1e-12 * np.max(np.abs(ref))
         assert np.array_equal(y0, y0_two)
+
+
+class TestResolventOracle:
+    """_sambe_solve's array path, as the spectrum runs it (s = -i nu over a
+    frequency axis, a node axis of detunings), against one dense solve of
+    (s - L) x = d per node and frequency at the same truncation."""
+
+    @pytest.mark.parametrize("drive", [(2.9, 1.75, 3.5299), (1.2, 0.6, 2.0),
+                                       (3.5299, 0.0, 3.5299)],
+                             ids=["resonant", "weak", "unmodulated"])
+    def test_node_batch_matches_dense_solve(self, emitter, rng, drive):
+        base = DriveConfig.from_ghz(0.0, *drive)
+        gen = BlochGenerator(base, emitter)
+        n = default_harmonics(base)
+        w, wr = base.omega_S.rad, base.rabi_L.rad
+        # Carrier, acoustic sidebands, Mollow sidebands and points between.
+        nus = np.array([0.0, w, -w, 2.0 * w, wr, -wr, 0.37 * w, -1.61 * w])
+        delta = np.array([[ghz] for ghz in (-1.3, 0.0, 0.45, 2.2)]) * GHZ
+        # A source with no mirror symmetry, distinct at every node.
+        shape = (2 * n + 1, 3, len(delta))
+        d = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * gen.rate_scale
+        y0, upper, lower = bloch._sambe_solve(gen, d[..., None], -1j * nus,
+                                              delta)
+        assert upper == [] and lower == []
+        ref = np.array([[dense_harmonic_balance(
+            BlochGenerator(base.replace_delta(dn), emitter), n, d[..., i],
+            -1j * nu)[n] for nu in nus] for i, (dn,) in enumerate(delta)])
+        y0 = np.moveaxis(np.array(y0), 0, -1)   # (nodes, freqs, 3)
+        assert y0.shape == ref.shape
+        assert np.max(np.abs(y0 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestMonodromy:

@@ -171,9 +171,7 @@ class TestSpectrumCommand:
                 (["spectrum", "--etalon-mhz", -1],
                  "instrument widths must be non-negative"),
                 (["lindblad-map", "--temp-k", 0],
-                 "temperature must be positive"),
-                (["cooling-map", "--delta-points", 0],
-                 "grid must be nonempty")]:
+                 "temperature must be positive")]:
             assert run([*args, "--out", out]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error") and message in err
@@ -234,13 +232,24 @@ class TestSpectrumCommand:
         assert "underflows" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", [["--points", 1], ["--window-ghz", 0],
-                                      ["--window-ghz", -3]],
-                             ids=["points=1", "window=0", "window=-3"])
-    def test_invalid_grid_exits_2(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("command, flag, value, floor", [
+        pytest.param(command, flag, value, floor,
+                     id=f"{command}:{flag[2:]}={value}")
+        for commands, flag, values, floor in [
+            (["spectrum", "spectrum-map"], "--points", [1, 0, -1], 1),
+            (["spectrum", "spectrum-map"], "--window-ghz", [0.0, -3.0], 0),
+            (["cooling-map", "lindblad-map"], "--delta-points", [0, -1], 0),
+            (["cooling-map", "lindblad-map"], "--rabi-points", [0, -1], 0),
+            (["spectrum-map", "dressed-lines"], "--sweep-points", [0, -1], 0)]
+        for command in commands for value in values])
+    def test_invalid_grid_exits_2(self, tmp_path, capsys, command, flag, value,
+                                  floor):
+        """A count or window that leaves no grid is refused in one line that
+        names its flag, and no file is written."""
         out = tmp_path / "x.csv"
-        assert run(["spectrum", *grid, "--out", out]) == 2
-        assert "strictly increasing" in capsys.readouterr().err
+        assert run([command, flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} must be above {floor}, got {value}\n")
         assert not out.exists()
 
     def test_even_node_count_exits_2(self, tmp_path, capsys):
@@ -498,17 +507,24 @@ class TestSpectrumCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["cooling-map", *ONE_POINT], ["spectrum", "--nodes", 3]],
-        ids=["cooling-map", "spectrum"])
+        ["cooling-map", *ONE_POINT], ["spectrum", "--nodes", 3],
+        ["spectrum-map", "--sweep-points", 2, "--nodes", 3]],
+        ids=["cooling-map", "spectrum", "spectrum-map"])
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-    def test_nonpositive_tol_exits_2(self, tmp_path, capsys, command, tol):
-        """A --tol that no residual can meet is refused before any harmonic
-        balance runs to its cap."""
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     command, tol):
+        """A --tol that no residual can meet is refused once, in one line,
+        before any harmonic balance runs."""
+        from sawmollow import cooling, spectrum
+        solves = []
+        for module in (cooling, spectrum):
+            monkeypatch.setattr(module, "floquet_steady_state",
+                                lambda *a, **k: solves.append(a))
         out = tmp_path / "x.csv"
-        assert run([*command, f"--tol={tol}", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: tol must be positive")
-        assert not out.exists()
+        assert run([*command, "--diffusion-mhz", 300, f"--tol={tol}",
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: tol must be positive\n"
+        assert solves == [] and not out.exists()
 
     @pytest.mark.parametrize("flag, value, codes", [
         pytest.param(flag, value, codes, id=f"{flag[2:]}={value}")
@@ -1029,6 +1045,47 @@ class TestOutputEscaping:
         digest = hashlib.sha256(data.read_bytes()).hexdigest()
         assert f"# data_sha256 = {digest}\n" in out.read_text()
         assert str(data) not in out.read_text()
+
+
+class TestWriterStrings:
+    """The text of every value kind the writer meets, pinned."""
+
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"), (-0.0, "-0"),
+        (np.float64(-0.0), "-0"), (5e-324, "4.9406564584124654e-324"),
+        (1e300, "1.0000000000000001e+300"), (math.inf, "inf"),
+        (-math.inf, "-inf"), (np.float64(-np.inf), "-inf"), (math.nan, "nan"),
+        (np.float64(np.nan), "nan"), (np.float32(np.nan), "nan"),
+        (True, "true"), (np.bool_(False), "false"), (7, "7"),
+        (np.int64(-3), "-3"), ("a\tb", "a\\tb")],
+        ids=["float", "float64", "float32", "-0", "float64:-0", "subnormal",
+             "1e300", "inf", "-inf", "float64:-inf", "nan", "float64:nan",
+             "float32:nan", "True", "bool_:False", "int", "int64", "str"])
+    def test_fmt(self, value, text):
+        from sawmollow.cli import _fmt
+        assert _fmt(value) == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_rows_write_like_numpy_scalar_rows(self, tmp_path, fmt):
+        """A spectrum written from its .tolist() rows has the bytes of the
+        same spectrum written from numpy-scalar rows."""
+        from sawmollow.cli import _spectrum_rows
+        from sawmollow.model import DriveConfig, Spectrum
+        rng = np.random.default_rng(7)
+        freqs = np.sort(rng.uniform(-9.0, 9.0, 64)) * GHZ
+        intensity = np.concatenate([[0.0, 5e-324, 1e-300],
+                                    rng.exponential(1e-10, 61)])
+        spec = Spectrum(freqs, intensity,
+                        DriveConfig.from_ghz(0.0, 3.5, 1.75, 3.5299))
+        v = np.float64(0.1)
+        numpy_rows = [(v, f, i * GHZ)
+                      for f, i in zip(spec.freqs_ghz, spec.intensity)]
+        assert all(type(x) is np.float64 for row in numpy_rows for x in row)
+        emit(numpy_rows, ["v", "f", "i"], tmp_path / "a", fmt, {"k": 1})
+        emit(_spectrum_rows(spec, prefix=(v,)), ["v", "f", "i"],
+             tmp_path / "b", fmt, {"k": 1})
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 class TestParserPerCommand:

@@ -248,6 +248,21 @@ class TestCoolingMap:
         assert note.startswith("2 of 2 sweep point(s) failed")
         assert "index 0" in note and "index 1" in note
 
+    @pytest.mark.parametrize("deltas, tol, message", [
+        ([], 1e-9, "grid must be nonempty"),
+        ([Frequency.from_ghz(-2.0)], math.nan, "tol must be positive"),
+        ([Frequency.from_ghz(-2.0)], 0.0, "tol must be positive")])
+    def test_bad_input_rejected_before_any_solve(self, emitter, monkeypatch,
+                                                 deltas, tol, message):
+        import sawmollow.cooling as cooling
+        monkeypatch.setattr(cooling, "floquet_steady_state", None)
+        template = DriveConfig.from_ghz(0.0, 1.0, 1.75, 3.5299)
+        with pytest.raises(ValueError, match=message) as err:
+            cooling_map(deltas, [Frequency.from_ghz(2.0)], emitter, template,
+                        diffusion_fwhm=Frequency.from_ghz(0.678), n_nodes=3,
+                        floquet_tol=tol)
+        assert not hasattr(err.value, "__notes__")
+
 
 class TestLindbladSteadyState:
     def test_laser_off_reproduces_thermal_occupation(self, emitter, cavity):

@@ -627,6 +627,7 @@ class TestSpectrumMap:
             spectrum_map([drive], emitter, uniform_grid(), model)
 
     def test_bad_grid_rejected_before_compute(self, emitter, monkeypatch):
+        """A bad grid or Floquet tolerance is refused before any solve."""
         import sawmollow.spectrum as spectrum
 
         def no_compute(*args, **kwargs):
@@ -637,6 +638,9 @@ class TestSpectrumMap:
         for freqs in ([0.0], [1.0, 0.0], [0.0, 0.0], [[0.0, 1.0]]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 spectrum_map([drive], emitter, np.asarray(freqs) * GHZ)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                spectrum_map([drive], emitter, uniform_grid(), floquet_tol=tol)
 
     def test_empty_sweep_rejected(self, emitter):
         with pytest.raises(ValueError):
