@@ -20,8 +20,10 @@ cycle.  Three routes into it live here:
 * :func:`floquet_steady_state` -- harmonic balance: insert x(t) = sum_k x_k
   exp(i k omega_S t), couple k <-> k+-1 through the cosine, solve for the
   +k harmonics (the -k ones are their mirror) by a matrix continued fraction
-  (:func:`_sambe_solve`, shared with the spectrum module's resolvent), and
-  judge them by the residual of those same equations, applied forward;
+  (:func:`_limit_cycle_solve`; the spectra's resolvent, with a source at
+  every order, runs :func:`_sambe_solve`), and judge them by the residual of
+  those same equations, applied forward.  The tail carries no particular
+  part, so back-substitution is x_k = -K_k^-1 P x_{k-1};
 * :func:`monodromy` -- fundamental matrix over one period (stability);
   :func:`periodic_fundamental`, its sampled form, is the backbone of the
   time-domain correlator oracle in tests/correlator_oracle.py.
@@ -220,16 +222,9 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     i delta], [i delta, sigma + rabi_L^2 / z]] is complex symmetric, and
     P K^-1 P keeps it so: one off-diagonal entry is carried per block.
 
-    s is a scalar, evaluated with Python complex arithmetic, or an array,
-    over which every step is vectorized; d may then carry a node axis,
-    (2n + 1, 3, nodes, 1), with delta the (nodes, 1) column of detunings.
-    Returns (y0, upper, lower): the central block's (s+, s-, s_z) and, with
-    no node axis, the +k and -k tails' factors (K^-1 entries i00, i01 = i10,
-    i11, then q_p, q_m, 1/z) of orders 1..n, which give every other block:
-    (p, m)_k = q_k - K_k^-1 P (p, m)_{k-+1}, s_z = (d_z - i rabi_L m) / z.
-    For a float s and D = d0 delta_k0, d0 = S conj d0 (S swaps s+, s-;
-    S P S = P), G_-k = S conj(G_k) S: the -k tail mirrors the +k one; it is
-    not run, lower = [].
+    s is an array, over which every step is vectorized; d may carry a node
+    axis, (2n + 1, 3, nodes, 1), with delta the (nodes, 1) column of
+    detunings.  Returns the central block's (s+, s-, s_z).
     """
     n = (len(d) - 1) // 2
     g = gen.emitter.gamma.rad
@@ -239,23 +234,15 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
     h = -1j * gen.drive.rabi_S.rad
     rs2 = gen.drive.rabi_S.rad ** 2
     wl2 = wl * wl
-    rows, store = (d.tolist(), True) if d.ndim == 2 else (d, False)
-    upper, lower = [], []
-    mirror = (isinstance(s, float) and rows.count([0j, 0j, 0j]) == 2 * n
-              and rows[n][0] == rows[n][1].conjugate() and not rows[n][2].imag)
     # Each tail runs inward carrying P K^-1 P (s0, s1 = s2, s3) and P q (pq0,
-    # pq1); the -k tail, or in the mirror case c mirrored, meets c at k = 0.
-    for factors, orders in ((upper, range(n, 0, -1)),
-                            (lower, range(0 if mirror else -n, 1))):
+    # pq1); the -k tail meets the +k one's carry c at k = 0.
+    for orders in (range(n, 0, -1), range(-n, 1)):
         s0 = s1 = s3 = pq0 = pq1 = 0.0
-        if mirror and factors is lower:
-            v = [x.conjugate() for x in c]
-            s0, s1, s3, pq0, pq1 = v[0], -v[1], v[2], v[3], -v[4]
         for k in orders:
             if not k:
                 s0, s1, s3 = s0 + c[0], s1 + c[1], s3 + c[2]
                 pq0, pq1 = pq0 + c[3], pq1 + c[4]
-            d0, d1, d2 = rows[n + k]
+            d0, d1, d2 = d[n + k]
             ikw = 1j * k * w
             inv_z = 1.0 / (s + (ikw + g))
             sigma = s + (ikw + 0.5 * g)
@@ -268,16 +255,57 @@ def _sambe_solve(gen: BlochGenerator, d: np.ndarray, s, delta=None):
             i00, j01, i11 = k11 * inv_det, k01 * inv_det, k00 * inv_det
             q0 = i00 * r0 - j01 * r1
             q1 = i11 * r1 - j01 * r0
-            if store and k:
-                factors.append((i00, -j01, i11, q0, q1, inv_z))
             # P M P = h^2 [[M11, M10], [M01, M00]], h^2 = -rabi_S^2.
             s0, s1, s3 = -rs2 * i11, rs2 * j01, -rs2 * i00
             pq0, pq1 = h * q1, h * q0
         c = (s0, s1, s3, pq0, pq1)
-    upper.reverse()
-    lower.reverse()
-    y_z = (rows[n][2] - 1j * wl * q1) * inv_z   # k = 0 came last: q = (p, m)_0
-    return (0.5 * (q0 + q1), 0.5 * (q0 - q1), y_z), upper, lower
+    y_z = (d[n][2] - 1j * wl * q1) * inv_z   # k = 0 came last: q = (p, m)_0
+    return 0.5 * (q0 + q1), 0.5 * (q0 - q1), y_z
+
+
+def _limit_cycle_solve(gen: BlochGenerator, n: int):
+    """Continued fraction of the limit cycle, (0 - L) x = b delta_k0 in the
+    blocks of :func:`_sambe_solve`, at truncation n.
+
+    With the source at k = 0 alone, r_n = 0 and then r_k = -P q_{k+1} = 0:
+    every q_k, k >= 1, vanishes; the +k tail is the homogeneous chain K_k -
+    P K_{k+1}^-1 P.  At s = 0, G_-k = S conj(G_k) S (S swaps s+ and s-;
+    S P S = P) and b = S conj b: the -k tail mirrors the +k one and is not
+    run.  Returns x_0 = (s+, s-, s_z) and, for k = 1..n, (i00, i01 = i10,
+    i11) of K_k^-1 and 1/z, which give every other block: (p, m)_k =
+    -K_k^-1 P (p, m)_{k-1}, s_z = -i rabi_L m / z.
+    """
+    g = gen.emitter.gamma.rad
+    i_delta = 1j * gen.drive.delta.rad
+    wl = gen.drive.rabi_L.rad
+    w = gen.drive.omega_S.rad
+    rs2 = gen.drive.rabi_S.rad ** 2
+    wl2 = wl * wl
+    factors, s0, s1, s3 = [], 0.0, 0.0, 0.0
+    for k in range(n, 0, -1):
+        ikw = 1j * k * w
+        inv_z = 1.0 / (0.0 + (ikw + g))
+        sigma = 0.0 + (ikw + 0.5 * g)
+        k00, k01 = sigma - s0, i_delta - s1
+        k11 = sigma + wl2 * inv_z - s3
+        inv_det = 1.0 / (k00 * k11 - k01 * k01)
+        i00, j01, i11 = k11 * inv_det, k01 * inv_det, k00 * inv_det
+        factors.append((i00, -j01, i11, inv_z))
+        s0, s1, s3 = -rs2 * i11, rs2 * j01, -rs2 * i00
+    factors.reverse()
+    # k = 0: both tails' carries, the -k one mirrored; r = (0, r1).  The
+    # general fraction's operations at s = 0, in its order, keep its bits.
+    b_z = complex(gen.inhomogeneous[2])
+    inv_z, sigma = 1.0 / (0.0 + (0j + g)), 0.0 + (0j + 0.5 * g)
+    k00 = sigma - (s0.conjugate() + s0)
+    k01 = i_delta - (-s1.conjugate() + s1)
+    k11 = sigma + wl2 * inv_z - (s3.conjugate() + s3)
+    r1 = 0j - (1j * wl * b_z) * inv_z
+    inv_det = 1.0 / (k00 * k11 - k01 * k01)
+    i00, j01, i11 = k11 * inv_det, k01 * inv_det, k00 * inv_det
+    q0, q1 = i00 * 0j - j01 * r1, i11 * r1 - j01 * 0j
+    y_z = (b_z - 1j * wl * q1) * inv_z
+    return (0.5 * (q0 + q1), 0.5 * (q0 - q1), y_z), factors
 
 
 def default_harmonics(drive: DriveConfig) -> int:
@@ -300,8 +328,10 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
         (A - i k w I) x_k + (B/2) x_{k-1} + (B/2) x_{k+1} = -b delta_k0,
 
     that is (0 - L) x = b delta_k0 for the operator of :func:`_sambe_solve`.
-    Its continued fraction gives x_0, back-substitution x_1, x_2, ..., and
-    the mirror (see :func:`_sambe_solve`) x_-k = conj (x_k,-, x_k,+, x_k,z).
+    Its continued fraction (:func:`_limit_cycle_solve`) gives x_0.  The tail
+    carries no particular part, so back-substitution is x_k = -K_k^-1 P
+    x_{k-1} (in the (p, m) basis of :func:`_sambe_solve`) for k = 1, 2, ...,
+    and the mirror gives x_-k = conj (x_k,-, x_k,+, x_k,z).
     The truncation, from min(n_harmonics, _MAX_HARMONICS), doubles until the
     residual of these equations (:func:`_floquet_residual`) is <= tol; past
     _MAX_HARMONICS it raises :class:`ConvergenceError`, at a non-finite
@@ -321,16 +351,13 @@ def floquet_steady_state(gen: BlochGenerator, n_harmonics: int | None = None,
     wl = gen.drive.rabi_L.rad
     n = min(n_harmonics, _MAX_HARMONICS)
     while True:
-        d = np.zeros((2 * n + 1, 3), dtype=complex)
-        d[n] = gen.inhomogeneous
-        y0, upper, _ = _sambe_solve(gen, d, 0.0)
+        y0, upper = _limit_cycle_solve(gen, n)
         rows = [y0] * (2 * n + 1)
         p, m = y0[0] + y0[1], y0[0] - y0[1]
-        for j, (i00, i01, i11, q_p, q_m, inv_z) in enumerate(upper, 1):
+        for j, (i00, i01, i11, inv_z) in enumerate(upper, 1):
             hm, hp = h * m, h * p
-            p = q_p - (i00 * hm + i01 * hp)
-            m = q_m - (i01 * hm + i11 * hp)
-            # d_z vanishes off k = 0; x_-k is the mirror of x_k.
+            # q_k = d_z = 0 off k = 0 (0j - x keeps q_k - x's signed zeros).
+            p, m = 0j - (i00 * hm + i01 * hp), 0j - (i01 * hm + i11 * hp)
             sp, sm, sz = 0.5 * (p + m), 0.5 * (p - m), -1j * wl * m * inv_z
             rows[n + j] = (sp, sm, sz)
             rows[n - j] = (sm.conjugate(), sp.conjugate(), sz.conjugate())

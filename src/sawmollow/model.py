@@ -173,7 +173,6 @@ class Spectrum:
     freqs            : strictly increasing offsets from omega_L, rad/s
     intensity        : spectral density per rad/s, clipped at -1e-9 * max
     drive            : the drive condition that produced it
-    normalization    : numerically integrated intensity over the grid
     coherent_freqs   : offsets of coherently scattered delta lines, rad/s
     coherent_weights : integrated weight of each delta line
     meta             : provenance (instrument steps applied, rho_ee, ...)
@@ -204,7 +203,6 @@ class Spectrum:
         self.coherent_weights = (np.zeros(0) if coherent_weights is None
                                  else np.asarray(coherent_weights, dtype=float))
         self.meta = dict(meta) if meta else {}
-        self.normalization = float(np.trapezoid(intensity, freqs)) if freqs.size > 1 else 0.0
 
     @property
     def freqs_ghz(self) -> np.ndarray:

@@ -122,7 +122,7 @@ def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
         for ks in (group[i:i + size] for i in range(0, len(group), size)):
             d = np.stack([_regression_source(cycles[k]) for k in ks], -1)
             delta = np.array([[drives[k].delta.rad] for k in ks])
-            y0, _, _ = _sambe_solve(gen, d[..., None], -1j * freqs, delta)
+            y0 = _sambe_solve(gen, d[..., None], -1j * freqs, delta)
             incoherent.update(zip(ks, y0[1].real / math.pi))
     for k, fs in enumerate(cycles):
         rho, intensity = fs.mean_rho_ee, incoherent[k]

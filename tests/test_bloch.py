@@ -260,13 +260,13 @@ class TestFloquet:
         cfg = DriveConfig.from_ghz(0.0, 2.0, 1500.0, 3.5299)
         assert default_harmonics(cfg) > 64
         orders = []
-        solve = bloch._sambe_solve
+        solve = bloch._limit_cycle_solve
 
-        def recording(gen, d, s):
-            orders.append((len(d) - 1) // 2)
-            return solve(gen, d, s)
+        def recording(gen, n):
+            orders.append(n)
+            return solve(gen, n)
 
-        monkeypatch.setattr(bloch, "_sambe_solve", recording)
+        monkeypatch.setattr(bloch, "_limit_cycle_solve", recording)
         with pytest.raises(ConvergenceError):
             floquet_steady_state(BlochGenerator(cfg, emitter))
         assert orders == [64]
@@ -277,13 +277,13 @@ class TestFloquet:
         residual raises a DomainError that names gamma."""
         emitter = EmitterParams.from_ghz(1e-303)
         orders = []
-        solve = bloch._sambe_solve
+        solve = bloch._limit_cycle_solve
 
-        def recording(gen, d, s):
-            orders.append((len(d) - 1) // 2)
-            return solve(gen, d, s)
+        def recording(gen, n):
+            orders.append(n)
+            return solve(gen, n)
 
-        monkeypatch.setattr(bloch, "_sambe_solve", recording)
+        monkeypatch.setattr(bloch, "_limit_cycle_solve", recording)
         cfg = DriveConfig.from_ghz(-2.0, 2.0, 1.75, 3.5299)
         with pytest.raises(DomainError, match="gamma"):
             floquet_steady_state(BlochGenerator(cfg, emitter))
@@ -364,19 +364,23 @@ def mirror_cases(rng):
 
 
 class TestMirroredTail:
-    """At real s, with D = d0 delta_k0 and d0 = S conj d0 (S swaps s+ and
-    s-), _sambe_solve eliminates the +k tail only: the -k one is its mirror.
-    A complex s, or any other D, takes both tails."""
+    """The limit cycle's continued fraction runs the +k tail only and meets
+    its mirror at k = 0; _sambe_solve, at any s and any D, runs both
+    tails."""
 
-    def test_one_tail_equals_two_tails_bitwise(self, emitter, rng):
+    def test_one_tail_solve_matches_two_tail_solve(self, emitter, rng):
+        """x_0 of floquet_steady_state equals the central block of
+        _sambe_solve at s = [0], with a one-node detuning column and
+        D = b delta_k0."""
         for cfg, n in mirror_cases(rng):
             gen = BlochGenerator(cfg, emitter)
-            d = np.zeros((2 * n + 1, 3), dtype=complex)
-            d[n] = gen.inhomogeneous
-            y0, upper, lower = bloch._sambe_solve(gen, d, 0.0)
-            y0_two, upper_two, lower_two = bloch._sambe_solve(gen, d, 0j)
-            assert y0 == y0_two and upper == upper_two
-            assert lower == [] and len(lower_two) == n
+            x0 = floquet_steady_state(gen, n, tol=math.inf).coefficient(0)
+            d = np.zeros((2 * n + 1, 3, 1, 1), dtype=complex)
+            d[n, :, 0, 0] = gen.inhomogeneous
+            y0 = bloch._sambe_solve(gen, d, np.array([0.0]),
+                                    np.array([[cfg.delta.rad]]))
+            y0 = np.array(y0)[:, 0, 0]
+            assert np.max(np.abs(y0 - x0)) <= 1e-12 * np.max(np.abs(x0))
 
     def test_limit_cycle_is_its_own_mirror(self, emitter, rng):
         """x_-k = S conj x_k exactly, k = 0 included: s-(t) = conj s+(t)
@@ -406,12 +410,8 @@ class TestMirroredTail:
             d[n - 2] = d[n + 2][[1, 0, 2]].conj()
         d *= gen.rate_scale
         ref = dense_harmonic_balance(gen, n, d)[n]
-        y0, _, lower = bloch._sambe_solve(gen, d, 0.0)
-        y0_two, _, _ = bloch._sambe_solve(gen, d, 0j)
-        assert len(lower) == n
-        assert np.max(np.abs(np.array(y0) - ref)) <= \
-            1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(y0, y0_two)
+        y0 = np.array(bloch._sambe_solve(gen, d, np.array([0.0])))[:, 0]
+        assert np.max(np.abs(y0 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestResolventOracle:
@@ -433,9 +433,7 @@ class TestResolventOracle:
         # A source with no mirror symmetry, distinct at every node.
         shape = (2 * n + 1, 3, len(delta))
         d = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * gen.rate_scale
-        y0, upper, lower = bloch._sambe_solve(gen, d[..., None], -1j * nus,
-                                              delta)
-        assert upper == [] and lower == []
+        y0 = bloch._sambe_solve(gen, d[..., None], -1j * nus, delta)
         ref = np.array([[dense_harmonic_balance(
             BlochGenerator(base.replace_delta(dn), emitter), n, d[..., i],
             -1j * nu)[n] for nu in nus] for i, (dn,) in enumerate(delta)])

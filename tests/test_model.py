@@ -179,4 +179,5 @@ class TestSpectrumType:
         freqs = np.linspace(-1.0, 1.0, 201)
         spec = Spectrum(freqs, np.ones_like(freqs), cfg,
                         coherent_freqs=[0.0], coherent_weights=[2.0])
-        assert spec.normalization == pytest.approx(2.0)
+        assert np.trapezoid(spec.intensity, spec.freqs) == pytest.approx(2.0)
+        assert spec.coherent_total == 2.0

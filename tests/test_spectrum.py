@@ -37,9 +37,9 @@ from grids import uniform_grid
 GHZ = TWO_PI * 1e9
 
 
-def band_integral(spec, lo, hi):
+def band_integral(spec, lo=-math.inf, hi=math.inf):
     """Trapezoid integral of the intensity over the grid points in [lo, hi]
-    (rad/s offsets from the laser)."""
+    (rad/s offsets from the laser), by default the whole grid."""
     sel = (spec.freqs >= lo) & (spec.freqs <= hi)
     return float(np.trapezoid(spec.intensity[sel], spec.freqs[sel]))
 
@@ -187,7 +187,7 @@ class TestEmissionSpectrum:
         wing_hi = np.linspace(16.25, 160.0, 576) * GHZ
         grid = np.concatenate([-wing_hi[::-1], core, wing_hi])
         spec = transform_correlator(corr, grid)
-        total = spec.normalization + spec.coherent_total
+        total = band_integral(spec) + spec.coherent_total
         assert total == pytest.approx(corr.rho_ee_bar, rel=1e-3)
 
     def test_symmetric_at_zero_detuning(self, emitter, drive_resonant):
@@ -283,8 +283,8 @@ class TestResolventSpectrum:
         fs = floquet_steady_state(gen)
         wide = floquet_steady_state(gen, n_harmonics=2 * fs.n_harmonics)
         s = -1j * freqs
-        base = _sambe_solve(gen, _regression_source(fs), s)[0][1].real
-        doubled = _sambe_solve(gen, _regression_source(wide), s)[0][1].real
+        base = _sambe_solve(gen, _regression_source(fs), s)[1].real
+        doubled = _sambe_solve(gen, _regression_source(wide), s)[1].real
         assert np.max(np.abs(base - doubled)) < 1e-9 * base.max()
 
     def test_truncation_is_the_floquet_order(self, emitter, drive_resonant):
@@ -328,10 +328,9 @@ class TestBatchedNodes:
             ks = [k for k, d in enumerate(sources) if len(d) // 2 == n]
             d = np.stack([sources[k] for k in ks], axis=-1)[..., None]
             delta = np.array([[nodes[k].delta.rad] for k in ks])
-            batch, upper, lower = _sambe_solve(gens[ks[0]], d, s, delta)
-            assert upper == [] and lower == []
+            batch = _sambe_solve(gens[ks[0]], d, s, delta)
             for j, k in enumerate(ks):
-                single, _, _ = _sambe_solve(gens[k], sources[k], s)
+                single = _sambe_solve(gens[k], sources[k], s)
                 for a, b in zip(batch, single):
                     assert a[j].tobytes() == b.tobytes()
 
@@ -426,7 +425,7 @@ class TestSpectralDiffusion:
                 == spec.coherent_weights.tobytes())
         assert ({k: np.float64(v).tobytes() for k, v in piped.meta.items()}
                 == {k: np.float64(v).tobytes() for k, v in spec.meta.items()})
-        assert piped.normalization.hex() == spec.normalization.hex()
+        assert band_integral(piped).hex() == band_integral(spec).hex()
 
     def test_narrow_line_broadens_to_gaussian_width(self):
         """A detuning-tracking line much narrower than the diffusion width
@@ -517,14 +516,14 @@ class TestEtalon:
         model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
         out = apply_etalon(spec, model)
         assert out.coherent_freqs.size == 0
-        assert out.normalization == pytest.approx(0.7, rel=1e-6)
+        assert band_integral(out) == pytest.approx(0.7, rel=1e-6)
 
     def test_integral_preserved(self, emitter, drive_resonant):
         spec = spectrum_map([drive_resonant], emitter, uniform_grid(9.9))[0]
         model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
         out = apply_etalon(spec, model)
-        expected = spec.normalization + spec.coherent_total
-        assert out.normalization == pytest.approx(expected, rel=1e-6)
+        expected = band_integral(spec) + spec.coherent_total
+        assert band_integral(out) == pytest.approx(expected, rel=1e-6)
 
     def test_zero_width_is_identity(self, emitter, drive_resonant):
         spec = spectrum_map([drive_resonant], emitter,
@@ -662,7 +661,7 @@ class TestSpectrumMap:
                                       rng.uniform(2.5, 4.5)) for _ in range(5)]
         for spec in spectrum_map(sweep, emitter, grid, model):
             rho_ee_bar = spec.meta["rho_ee_bar"]
-            total = spec.normalization + spec.coherent_total
+            total = band_integral(spec) + spec.coherent_total
             assert abs(total - rho_ee_bar) < 1e-3 * rho_ee_bar
 
     def test_parallel_jobs_match_serial(self, emitter):
