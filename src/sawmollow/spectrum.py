@@ -1,8 +1,10 @@
 """Resonance fluorescence spectra via the quantum regression theorem.
 
 Pipeline: Floquet limit cycle -> phase-averaged spectrum from the Floquet
-(Sambe-space) resolvent -> Gaussian spectral-diffusion average -> etalon
-convolution.
+(Sambe-space) resolvent at each Gaussian spectral-diffusion node -> node
+average -> etalon convolution.  Nodes stay plain arrays (intensity, coherent
+weights by harmonic order, health) until :func:`spectrum_map` builds one
+Spectrum per drive.
 
 The regression step uses the linearity of the Bloch equations: a regression
 initial condition rho(t0) s+ maps to the generalized expectation vector
@@ -42,11 +44,7 @@ from functools import partial
 import numpy as np
 
 from .bloch import BlochGenerator, _sambe_solve, floquet_steady_state
-from .model import GHZ, DriveConfig, EmitterParams, Frequency, Spectrum
-
-
-class GridMismatchError(ValueError):
-    """Spectra being combined live on different frequency grids."""
+from .model import GHZ, EmitterParams, Frequency, Spectrum
 
 
 class AliasingError(ValueError):
@@ -102,7 +100,10 @@ def _regression_source(fs) -> np.ndarray:
 
 
 def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
-    """Yields the pre-instrument spectra of drives on a valid grid.
+    """Yields (intensity, lines, health) of drives on a valid grid, before
+    any instrument: the clipped intensity, the coherent weights keyed by
+    order k, and (rho_ee_bar, floquet_residual, n_harmonics,
+    min_intensity_preclip).
 
     The incoherent part is the exact phase-averaged Floquet resolvent (see
     the module docstring), truncated at the harmonic order the limit cycle
@@ -126,14 +127,13 @@ def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
             incoherent.update(zip(ks, y0[1].real / math.pi))
     for k, fs in enumerate(cycles):
         rho, intensity = fs.mean_rho_ee, incoherent[k]
+        if not np.all(np.isfinite(intensity)):
+            raise ValueError("intensity must be finite")
         coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
         keep = coh_w > 1e-14 * max(rho, 1e-300)
-        meta = {"floquet_residual": fs.residual, "n_harmonics": fs.n_harmonics,
-                "rho_ee_bar": rho,
-                "min_intensity_preclip": float(np.min(intensity))}
-        yield Spectrum(freqs, _clip(intensity), fs.drive,
-                       coherent_freqs=fs.orders[keep] * fs.drive.omega_S.rad,
-                       coherent_weights=coh_w[keep], meta=meta)
+        health = (rho, fs.residual, fs.n_harmonics, float(np.min(intensity)))
+        yield (_clip(intensity),
+               dict(zip(fs.orders[keep].tolist(), coh_w[keep])), health)
 
 
 def _diffusion_nodes(fwhm_rad: float, n_nodes: int):
@@ -166,15 +166,19 @@ def _outcomes(fn, items) -> list:
     return out
 
 
-def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
-    """fn(items), fn mapping a list of items to their results; with jobs > 1,
-    contiguous chunks run in a process pool of min(jobs, len(items), usable
-    CPUs) workers.  Every item runs even when some fail (:func:`_outcomes`);
-    the first failure is then re-raised with its own class and a note that
-    lists where(i) and the message of every failing item i."""
+def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
+    """kernel, mapping a list of drives to their results, over every drive
+    shifted to every detuning offset of :func:`_diffusion_nodes`; returns
+    each drive's node results in node order.  With jobs > 1, contiguous
+    chunks run in a pool of min(jobs, nodes, usable CPUs) processes.  Every
+    node runs even when some fail (:func:`_outcomes`); the first failure is
+    then re-raised with its own class and a note naming the drive index,
+    node and message of every failing node."""
+    n = len(offsets)
+    items = [drive.replace_delta(drive.delta.rad + off)
+             for drive in drives for off in offsets]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    items = list(items)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(jobs, len(items), cpus)
@@ -188,29 +192,18 @@ def _sweep(fn, items, jobs: int = 1, where=lambda i: f"index {i}") -> list:
         # Spawn, not fork: forking a process that holds BLAS threads is unsafe.
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            futures = [pool.submit(_outcomes, fn, c) for c in chunks]
+            futures = [pool.submit(_outcomes, kernel, c) for c in chunks]
         outcomes = [o for future in futures for o in future.result()]
     else:
-        outcomes = _outcomes(fn, items)
+        outcomes = _outcomes(kernel, items)
     failures = [(i, exc) for i, (ok, exc) in enumerate(outcomes) if not ok]
     if failures:
         first = failures[0][1]
         first.add_note(f"{len(failures)} of {len(items)} sweep point(s) failed: "
-                       + "; ".join(f"{where(i)}: {exc}" for i, exc in failures))
+                       + "; ".join(f"index {i // n}, node {i % n}: {exc}"
+                                   for i, exc in failures))
         raise first
-    return [result for _, result in outcomes]
-
-
-def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
-    """kernel (fn of :func:`_sweep`) over every drive shifted to every
-    detuning offset of :func:`_diffusion_nodes`, as one flat sweep over
-    drives x nodes; returns each drive's node results in node order.  A
-    failure's note names the drive's index and the node."""
-    n = len(offsets)
-    shifted = [drive.replace_delta(drive.delta.rad + off)
-               for drive in drives for off in offsets]
-    results = _sweep(kernel, shifted, jobs,
-                     where=lambda i: f"index {i // n}, node {i % n}")
+    results = [result for _, result in outcomes]
     return [results[i:i + n] for i in range(0, len(results), n)]
 
 
@@ -223,41 +216,6 @@ def _node_sum(weights, values):
     return acc
 
 
-def apply_spectral_diffusion(specs, weights, drive: DriveConfig) -> Spectrum:
-    """Average node spectra over a Gaussian distribution of the laser detuning.
-
-    specs are the spectra of drive shifted to the detuning nodes of
-    :func:`_diffusion_nodes`, on one laser-relative grid, and weights their
-    quadrature weights; one node of weight 1 keeps its intensity.  Coherent
-    lines merge by position and rho_ee_bar is averaged; the Floquet
-    residual, truncation order and pre-clip minimum report the worst node.
-    The result carries the nominal drive.
-    """
-    first = specs[0]
-    if any(not np.array_equal(spec.freqs, first.freqs) for spec in specs):
-        raise GridMismatchError("node spectra live on different grids")
-    intensity = _node_sum(weights, [spec.intensity for spec in specs])
-    coherent: dict[float, float] = {}
-    for spec, wt in zip(specs, weights):
-        # Coherent lines sit at integer multiples of the acoustic frequency
-        # regardless of detuning; merge them by position.
-        for nu, weight in zip(spec.coherent_freqs, spec.coherent_weights):
-            coherent[float(nu)] = coherent.get(float(nu), 0.0) + wt * weight
-
-    meta = dict(first.meta)
-    meta["rho_ee_bar"] = _node_sum(
-        weights, [spec.meta.get("rho_ee_bar", math.nan) for spec in specs])
-    for key, worst in (("floquet_residual", max), ("n_harmonics", max),
-                       ("min_intensity_preclip", min)):
-        if key in meta:
-            meta[key] = worst(spec.meta[key] for spec in specs)
-    intensity = _clip(intensity)
-    coh_f = np.array(sorted(coherent))
-    coh_w = np.array([coherent[f] for f in coh_f])
-    return Spectrum(first.freqs, intensity, drive,
-                    coherent_freqs=coh_f, coherent_weights=coh_w, meta=meta)
-
-
 def _lorentzian(nu: np.ndarray, fwhm: float) -> np.ndarray:
     """(hw / pi) / (nu^2 + hw^2), hw = fwhm / 2, written over nu's buffer."""
     hw = 0.5 * fwhm
@@ -265,28 +223,14 @@ def _lorentzian(nu: np.ndarray, fwhm: float) -> np.ndarray:
     return np.divide(hw / math.pi, nu, out=nu)
 
 
-def _check_etalon_window(window: float, model: InstrumentModel) -> None:
-    if window > model.etalon_fsr.rad * (1.0 + 1e-12):
-        raise AliasingError(
-            f"window {window / GHZ:.3f} GHz exceeds the etalon free "
-            f"spectral range {model.etalon_fsr.ghz:.3f} GHz")
-
-
-def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
-    """Convolve with the etalon's unit-area Lorentzian transmission.
+def _etalon(freqs, intensity, coherent_freqs, coherent_weights, fwhm):
+    """intensity on freqs convolved with the etalon's unit-area Lorentzian
+    transmission of width fwhm > 0, clipped.
 
     Quadrature columns are renormalized on the finite window so the
     trapezoid integral is conserved exactly; coherent delta lines fold in
-    analytically as Lorentzians carrying their full weight.  Windows wider
-    than the free spectral range would alias neighboring orders and are
-    rejected.
+    analytically as Lorentzians carrying their full weight.
     """
-    fwhm = model.etalon_fwhm.rad
-    _check_etalon_window(float(spec.freqs[-1] - spec.freqs[0]), model)
-    if fwhm == 0.0:
-        return spec
-
-    freqs = spec.freqs
     n = freqs.size
     edge = np.pad(freqs, 1, mode="edge")   # trapezoid weights of the grid
     w = 0.5 * (edge[2:] - edge[:-2])
@@ -297,13 +241,12 @@ def apply_etalon(spec: Spectrum, model: InstrumentModel) -> Spectrum:
         hi = min(lo + chunk, n)
         cols = _lorentzian(freqs[:, None] - freqs[None, lo:hi], fwhm)
         norms = w @ cols
-        out += cols @ (w[lo:hi] * spec.intensity[lo:hi] / norms)
+        out += cols @ (w[lo:hi] * intensity[lo:hi] / norms)
 
-    for nu0, weight in zip(spec.coherent_freqs, spec.coherent_weights):
+    for nu0, weight in zip(coherent_freqs, coherent_weights):
         col = _lorentzian(freqs - nu0, fwhm)
         out += weight * col / (w @ col)
-
-    return Spectrum(freqs, _clip(out), spec.drive, meta=spec.meta)
+    return _clip(out)
 
 
 def spectrum_map(sweep, emitter: EmitterParams, freqs,
@@ -311,31 +254,51 @@ def spectrum_map(sweep, emitter: EmitterParams, freqs,
                  floquet_tol: float = 1e-10, jobs: int = 1) -> list[Spectrum]:
     """Full pipeline over a sweep of drive configs, order-preserving.
 
-    freqs are offsets from the laser in rad/s, strictly increasing (not
-    necessarily uniform); n_nodes is the Gauss-Hermite order of the
+    freqs are finite offsets from the laser in rad/s, strictly increasing
+    (not necessarily uniform); n_nodes is the Gauss-Hermite order of the
     diffusion average.  An invalid grid, node count or tolerance raises
     ValueError, and a window wider than the etalon's free spectral range
     :class:`AliasingError`, before any spectrum is computed.  Every drive
-    runs at every diffusion node through :func:`_node_sweep` (jobs > 1
-    spreads the nodes over worker processes), then the node spectra are
-    averaged and folded with the etalon.
+    runs at every diffusion node through :func:`_node_sweep`; its node
+    arrays are then averaged (lines merge by order k, health reports the
+    worst node) and folded with the etalon into one Spectrum of the drive.
     """
     sweep = list(sweep)
     if not sweep:
         raise ValueError("sweep must be nonempty")
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 2 or not np.all(np.diff(freqs) > 0):
-        raise ValueError("freqs must be a strictly increasing 1-d grid")
+    if (freqs.ndim != 1 or freqs.size < 2 or not np.all(np.isfinite(freqs))
+            or not np.all(np.diff(freqs) > 0)):
+        raise ValueError("freqs must be a finite, strictly increasing 1-d grid")
     if not floquet_tol > 0:
         raise ValueError("tol must be positive")
     model = instrument or InstrumentModel()
     offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, n_nodes)
-    if model.etalon_fwhm.rad > 0:
-        _check_etalon_window(float(freqs[-1] - freqs[0]), model)
+    fwhm = model.etalon_fwhm.rad
+    if fwhm > 0 and freqs[-1] - freqs[0] > model.etalon_fsr.rad * (1.0 + 1e-12):
+        raise AliasingError(
+            f"window {(freqs[-1] - freqs[0]) / GHZ:.3f} GHz exceeds the etalon "
+            f"free spectral range {model.etalon_fsr.ghz:.3f} GHz")
     kernel = partial(_node_spectra, emitter=emitter, freqs=freqs,
                      floquet_tol=floquet_tol)
-    specs = [apply_spectral_diffusion(nodes, weights, drive) for drive, nodes
-             in zip(sweep, _node_sweep(kernel, sweep, offsets, jobs))]
-    if model.etalon_fwhm.rad > 0:
-        specs = [apply_etalon(spec, model) for spec in specs]
+    specs = []
+    for drive, nodes in zip(sweep, _node_sweep(kernel, sweep, offsets, jobs)):
+        intensities, lines, health = zip(*nodes)
+        intensity = _clip(_node_sum(weights, intensities))
+        merged = {}   # lines sit at k omega_S whatever a node's detuning
+        for wt, node_lines in zip(weights, lines):
+            for k, weight in node_lines.items():
+                merged[k] = merged.get(k, 0.0) + wt * weight
+        orders = sorted(merged)
+        coh_f = np.array(orders, dtype=np.int64) * drive.omega_S.rad
+        coh_w = np.array([merged[k] for k in orders])
+        rho, residual, n_harmonics, preclip = zip(*health)
+        meta = {"floquet_residual": max(residual),
+                "n_harmonics": max(n_harmonics),
+                "rho_ee_bar": _node_sum(weights, rho),
+                "min_intensity_preclip": min(preclip)}
+        if fwhm > 0:
+            intensity = _etalon(freqs, intensity, coh_f, coh_w, fwhm)
+            coh_f = coh_w = None
+        specs.append(Spectrum(freqs, intensity, drive, coh_f, coh_w, meta))
     return specs

@@ -11,19 +11,17 @@ from sawmollow.bloch import (
     _sambe_solve,
     floquet_steady_state,
 )
-from sawmollow.model import DriveConfig, Frequency, Spectrum, TWO_PI
+from sawmollow.model import DriveConfig, Frequency, TWO_PI
 from sawmollow.spectrum import (
     AliasingError,
-    GridMismatchError,
     InstrumentModel,
     _diffusion_nodes,
+    _etalon,
     _node_spectra,
+    _node_sum,
     _node_sweep,
     _outcomes,
     _regression_source,
-    _sweep,
-    apply_etalon,
-    apply_spectral_diffusion,
     spectrum_map,
 )
 
@@ -45,8 +43,27 @@ def band_integral(spec, lo=-math.inf, hi=math.inf):
 
 
 def one_node(drive, emitter, freqs):
-    """Pre-instrument spectrum of drive, alone in its resolvent call."""
+    """Pre-instrument (intensity, lines, health) of drive, alone in its
+    resolvent call."""
     return next(_node_spectra([drive], emitter, freqs, 1e-10))
+
+
+def node_bytes(node):
+    """The bytes of a node tuple of _node_spectra, for bitwise checks."""
+    intensity, lines, health = node
+    return (intensity.tobytes(), np.array(list(lines)).tobytes(),
+            np.array(list(lines.values())).tobytes(),
+            np.array(health, dtype=float).tobytes())
+
+
+# Item functions of sweep kernels, at module level so that worker processes
+# can unpickle them.
+def node_delta(drive):
+    return drive.delta.rad
+
+
+def sqrt_of_delta(drive):
+    return math.sqrt(drive.delta.rad)
 
 
 def static_correlator_oracle(drive, emitter, taus):
@@ -334,22 +351,14 @@ class TestBatchedNodes:
                 for a, b in zip(batch, single):
                     assert a[j].tobytes() == b.tobytes()
 
-    @staticmethod
-    def assert_same_spectrum(a, b):
-        assert a.drive is b.drive
-        assert a.intensity.tobytes() == b.intensity.tobytes()
-        assert a.coherent_freqs.tobytes() == b.coherent_freqs.tobytes()
-        assert a.coherent_weights.tobytes() == b.coherent_weights.tobytes()
-        assert a.meta == b.meta
-
     @pytest.mark.parametrize("name", ["mixed_orders", "rabi_resonance"])
     def test_batched_spectra_equal_one_node_calls(self, emitter, name):
         nodes = self.node_drives(name)
         specs = list(_node_spectra(nodes, emitter, self.freqs, 1e-10))
         assert len(specs) == len(nodes)
         for drive, spec in zip(nodes, specs):
-            self.assert_same_spectrum(
-                spec, one_node(drive, emitter, self.freqs))
+            assert node_bytes(spec) == node_bytes(
+                one_node(drive, emitter, self.freqs))
 
     def test_drives_of_different_rabi_frequencies_batch_apart(self, emitter):
         """Nodes of two drives that differ in rabi_L and rabi_S, interleaved
@@ -359,8 +368,8 @@ class TestBatchedNodes:
         nodes = [drive for pair in zip(a, b) for drive in pair]
         specs = _node_spectra(nodes, emitter, self.freqs, 1e-10)
         for drive, spec in zip(nodes, specs):
-            self.assert_same_spectrum(
-                spec, one_node(drive, emitter, self.freqs))
+            assert node_bytes(spec) == node_bytes(
+                one_node(drive, emitter, self.freqs))
 
     def test_batch_is_split_on_large_grids(self, emitter, monkeypatch):
         """Above 2**16 nodes x frequencies a batch is split, one node per
@@ -379,7 +388,8 @@ class TestBatchedNodes:
         assert widths == [1, 1, 1]
         monkeypatch.undo()
         for drive, spec in zip(nodes, specs):
-            self.assert_same_spectrum(spec, one_node(drive, emitter, freqs))
+            assert node_bytes(spec) == node_bytes(
+                one_node(drive, emitter, freqs))
 
     def test_failing_node_keeps_its_own_exception(self, emitter, monkeypatch):
         """When a node's limit cycle fails, the sweep reruns the nodes one by
@@ -402,8 +412,8 @@ class TestBatchedNodes:
         assert isinstance(outcomes[1][1], ConvergenceError)
         monkeypatch.undo()
         for k in (0, 2):
-            self.assert_same_spectrum(
-                outcomes[k][1], one_node(nodes[k], emitter, self.freqs))
+            assert node_bytes(outcomes[k][1]) == node_bytes(
+                one_node(nodes[k], emitter, self.freqs))
 
 
 class TestSpectralDiffusion:
@@ -411,69 +421,81 @@ class TestSpectralDiffusion:
         """At zero width the single node of weight 1 keeps the intensity,
         so the pipeline without instrument is bit for bit the one drive's
         resolvent spectrum."""
-        _, weights = _diffusion_nodes(0.0, 5)
         freqs = uniform_grid(12.0, 101)
-        spec = one_node(drive_resonant, emitter, freqs)
-        averaged = apply_spectral_diffusion([spec], weights, drive_resonant)
-        assert np.array_equal(averaged.intensity, spec.intensity)
-        assert np.array_equal(averaged.coherent_weights, spec.coherent_weights)
-        assert averaged.drive.delta.rad == 0.0
+        intensity, lines, health = one_node(drive_resonant, emitter, freqs)
         (piped,) = spectrum_map([drive_resonant], emitter, freqs)
-        assert piped.intensity.tobytes() == spec.intensity.tobytes()
-        assert piped.coherent_freqs.tobytes() == spec.coherent_freqs.tobytes()
+        assert piped.drive is drive_resonant
+        assert piped.intensity.tobytes() == intensity.tobytes()
+        orders = sorted(lines)
+        assert (piped.coherent_freqs.tobytes() == (
+            np.array(orders) * drive_resonant.omega_S.rad).tobytes())
         assert (piped.coherent_weights.tobytes()
-                == spec.coherent_weights.tobytes())
-        assert ({k: np.float64(v).tobytes() for k, v in piped.meta.items()}
-                == {k: np.float64(v).tobytes() for k, v in spec.meta.items()})
-        assert band_integral(piped).hex() == band_integral(spec).hex()
+                == np.array([lines[k] for k in orders]).tobytes())
+        rho, residual, n_harmonics, preclip = health
+        assert list(piped.meta) == ["floquet_residual", "n_harmonics",
+                                    "rho_ee_bar", "min_intensity_preclip"]
+        assert ([np.float64(v).tobytes() for v in piped.meta.values()]
+                == [np.float64(v).tobytes()
+                    for v in (residual, n_harmonics, rho, preclip)])
 
     def test_narrow_line_broadens_to_gaussian_width(self):
         """A detuning-tracking line much narrower than the diffusion width
         averages to the 678 MHz Gaussian (in quadrature with its own
         natural width; the node comb resolves lines of that scale)."""
         freqs = np.linspace(-3.0, 3.0, 4001) * GHZ
-        drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
         natural_fwhm = 0.2
         sigma = natural_fwhm * GHZ / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
         def line(delta):
             inten = np.exp(-0.5 * ((freqs - delta) / sigma) ** 2)
-            inten /= sigma * math.sqrt(2.0 * math.pi)
-            return Spectrum(freqs, inten, drive.replace_delta(delta),
-                            meta={"rho_ee_bar": 1.0})
+            return inten / (sigma * math.sqrt(2.0 * math.pi))
 
         offsets, weights = _diffusion_nodes(0.678 * GHZ, 41)
-        spec = apply_spectral_diffusion([line(off) for off in offsets],
-                                        weights, drive)
-        half = spec.intensity.max() / 2.0
-        above = freqs[spec.intensity >= half]
+        intensity = _node_sum(weights, [line(off) for off in offsets])
+        half = intensity.max() / 2.0
+        above = freqs[intensity >= half]
         measured_fwhm = (above[-1] - above[0]) / GHZ
         assert measured_fwhm == pytest.approx(math.hypot(0.678, natural_fwhm),
                                               rel=0.02)
 
-    def test_grid_mismatch_detected(self):
-        drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
-        specs = [Spectrum(np.linspace(-1, 1, n) * GHZ, np.ones(n), drive)
-                 for n in (101, 103, 101)]
-        with pytest.raises(GridMismatchError):
-            apply_spectral_diffusion(specs, np.full(3, 1.0 / 3.0), drive)
-
     def test_health_reports_the_worst_node(self, emitter):
         """Residual, truncation and pre-clip minimum of an averaged spectrum
-        are the worst over its nodes, not node 0's."""
+        are the worst over its nodes, not node 0's; rho_ee_bar is their
+        average."""
         drive = DriveConfig.from_ghz(0.0, 3.5299, 1.75, 3.5299)
         model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
         (spec,) = spectrum_map([drive], emitter, uniform_grid(9.0, 101),
                                model, n_nodes=21)
-        offsets, _ = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
-        nodes = [one_node(drive.replace_delta(off), emitter, spec.freqs).meta
+        offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
+        nodes = [one_node(drive.replace_delta(off), emitter, spec.freqs)[2]
                  for off in offsets]
-        residuals = [meta["floquet_residual"] for meta in nodes]
+        rho, residuals, n_harmonics, preclip = zip(*nodes)
         assert spec.meta["floquet_residual"] == max(residuals)
         assert max(residuals) > residuals[0]
-        assert spec.meta["n_harmonics"] == max(m["n_harmonics"] for m in nodes)
-        assert spec.meta["min_intensity_preclip"] == min(
-            m["min_intensity_preclip"] for m in nodes)
+        assert spec.meta["n_harmonics"] == max(n_harmonics)
+        assert spec.meta["min_intensity_preclip"] == min(preclip)
+        assert spec.meta["rho_ee_bar"] == _node_sum(weights, rho)
+
+    def test_lines_merge_by_order_over_nodes(self, emitter, drive_resonant):
+        """Nodes that keep different sets of orders merge line by line: at
+        each order k, sorted, the weight is the node-order sum of the
+        weighted node weights of the nodes that keep k, at k omega_S."""
+        model = InstrumentModel(diffusion_fwhm=Frequency.from_ghz(0.678))
+        freqs = uniform_grid(9.0, 101)
+        (spec,) = spectrum_map([drive_resonant], emitter, freqs, model)
+        offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
+        nodes = [one_node(drive_resonant.replace_delta(off), emitter, freqs)
+                 for off in offsets]
+        kept = [lines for _, lines, _ in nodes]
+        assert len({frozenset(lines) for lines in kept}) > 1
+        orders = sorted(set().union(*kept))
+        merged = [_node_sum([wt for wt, lines in zip(weights, kept)
+                             if k in lines],
+                            [lines[k] for lines in kept if k in lines])
+                  for k in orders]
+        assert (spec.coherent_freqs.tobytes() == (
+            np.array(orders) * drive_resonant.omega_S.rad).tobytes())
+        assert spec.coherent_weights.tobytes() == np.array(merged).tobytes()
 
     @pytest.mark.slow
     def test_quadrature_converged_by_21_nodes(self, emitter):
@@ -489,57 +511,42 @@ class TestSpectralDiffusion:
 
 
 class TestEtalon:
-    def _flat_spectrum(self, drive, peak_at=0.0, n=2001, coherent=None):
-        freqs = np.linspace(-10, 10, n) * GHZ
-        inten = np.zeros(n)
-        inten[np.argmin(np.abs(freqs - peak_at))] = 1.0 / (freqs[1] - freqs[0])
-        coh_f, coh_w = (np.array([]), np.array([])) if coherent is None else coherent
-        return Spectrum(freqs, inten, drive, coherent_freqs=coh_f,
-                        coherent_weights=coh_w)
+    fwhm = Frequency.from_ghz(0.525).rad
 
     def test_delta_maps_to_lorentzian_of_etalon_width(self):
-        drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
-        spec = self._flat_spectrum(drive)
-        model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
-        out = apply_etalon(spec, model)
-        half = out.intensity.max() / 2.0
-        above = out.freqs[out.intensity >= half]
+        freqs = np.linspace(-10, 10, 2001) * GHZ
+        inten = np.zeros(freqs.size)
+        inten[np.argmin(np.abs(freqs))] = 1.0 / (freqs[1] - freqs[0])
+        out = _etalon(freqs, inten, np.zeros(0), np.zeros(0), self.fwhm)
+        half = out.max() / 2.0
+        above = freqs[out >= half]
         fwhm = (above[-1] - above[0]) / GHZ
         assert fwhm == pytest.approx(0.525, rel=0.03)
 
     def test_coherent_line_folds_in_as_lorentzian(self):
-        drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
         freqs = np.linspace(-10, 10, 2001) * GHZ
-        spec = Spectrum(freqs, np.zeros(freqs.size), drive,
-                        coherent_freqs=np.array([0.0]),
-                        coherent_weights=np.array([0.7]))
-        model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
-        out = apply_etalon(spec, model)
-        assert out.coherent_freqs.size == 0
-        assert band_integral(out) == pytest.approx(0.7, rel=1e-6)
+        out = _etalon(freqs, np.zeros(freqs.size), np.array([0.0]),
+                      np.array([0.7]), self.fwhm)
+        assert np.trapezoid(out, freqs) == pytest.approx(0.7, rel=1e-6)
 
     def test_integral_preserved(self, emitter, drive_resonant):
         spec = spectrum_map([drive_resonant], emitter, uniform_grid(9.9))[0]
-        model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525))
-        out = apply_etalon(spec, model)
+        out = _etalon(spec.freqs, spec.intensity, spec.coherent_freqs,
+                      spec.coherent_weights, self.fwhm)
         expected = band_integral(spec) + spec.coherent_total
-        assert band_integral(out) == pytest.approx(expected, rel=1e-6)
+        assert np.trapezoid(out, spec.freqs) == pytest.approx(expected,
+                                                              rel=1e-6)
 
     def test_zero_width_is_identity(self, emitter, drive_resonant):
-        spec = spectrum_map([drive_resonant], emitter,
-                            uniform_grid(9.9, 301))[0]
-        model = InstrumentModel(etalon_fwhm=Frequency(0.0))
-        out = apply_etalon(spec, model)
-        assert np.array_equal(out.intensity, spec.intensity)
-
-    def test_window_beyond_free_spectral_range_rejected(self):
-        drive = DriveConfig.from_ghz(0.0, 1.0, 0.0, 3.5299)
-        freqs = np.linspace(-15, 15, 301) * GHZ
-        spec = Spectrum(freqs, np.ones(301), drive)
-        model = InstrumentModel(etalon_fwhm=Frequency.from_ghz(0.525),
-                                etalon_fsr=Frequency.from_ghz(20.0))
-        with pytest.raises(AliasingError):
-            apply_etalon(spec, model)
+        """An etalon of zero width is left out: the spectrum keeps its
+        intensity and its coherent lines."""
+        freqs = uniform_grid(9.9, 301)
+        (bare,) = spectrum_map([drive_resonant], emitter, freqs)
+        (spec,) = spectrum_map([drive_resonant], emitter, freqs,
+                               InstrumentModel(etalon_fwhm=Frequency(0.0)))
+        assert spec.intensity.tobytes() == bare.intensity.tobytes()
+        assert spec.coherent_weights.tobytes() == bare.coherent_weights.tobytes()
+        assert spec.coherent_freqs.size > 0
 
 
 class TestSpectrumMap:
@@ -634,7 +641,8 @@ class TestSpectrumMap:
 
         monkeypatch.setattr(spectrum, "floquet_steady_state", no_compute)
         drive = DriveConfig.from_ghz(0.0, 2.0, 1.75, 3.5299)
-        for freqs in ([0.0], [1.0, 0.0], [0.0, 0.0], [[0.0, 1.0]]):
+        for freqs in ([0.0], [1.0, 0.0], [0.0, 0.0], [[0.0, 1.0]],
+                      [-math.inf, 0.0, 1.0], [0.0, 1.0, math.inf]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 spectrum_map([drive], emitter, np.asarray(freqs) * GHZ)
         for tol in (0.0, -1.0, math.nan):
@@ -675,26 +683,33 @@ class TestSpectrumMap:
 
 
 class TestSweepDriver:
-    def test_results_in_item_order(self):
-        items = [4.0, 9.0, 16.0, 25.0]
-        sqrt = partial(map, math.sqrt)
-        assert _sweep(sqrt, items) == [2.0, 3.0, 4.0, 5.0]
-        assert _sweep(sqrt, items, jobs=2) == [2.0, 3.0, 4.0, 5.0]
+    @staticmethod
+    def drives(*deltas):
+        return [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
+                            Frequency(1.0)) for d in deltas]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_in_item_order(self, jobs):
+        results = _node_sweep(partial(map, node_delta),
+                              self.drives(0.0, 10.0, 20.0),
+                              np.array([-1.0, 0.0, 1.0]), jobs)
+        assert results == [[-1.0, 0.0, 1.0], [9.0, 10.0, 11.0],
+                           [19.0, 20.0, 21.0]]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failure_raised_with_note_listing_all(self, jobs):
         with pytest.raises(ValueError, match="math domain error") as err:
-            _sweep(partial(map, math.sqrt), [4.0, -1.0, 9.0, "x"], jobs=jobs)
+            _node_sweep(partial(map, sqrt_of_delta),
+                        self.drives(4.0, -1.0, 9.0, -16.0), np.zeros(1), jobs)
         (note,) = err.value.__notes__
         assert note.startswith("2 of 4 sweep point(s) failed")
-        assert "index 1: math domain error" in note
-        assert "index 3:" in note and "index 0" not in note
+        assert "index 1, node 0: math domain error" in note
+        assert "index 3, node 0:" in note and "index 0" not in note
 
     def test_node_sweep_hands_the_kernel_every_node(self):
         """A serial sweep makes one kernel call with every drive's node
         drives and returns each drive's node results."""
-        drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
-                              Frequency(1.0)) for d in (0.0, 10.0)]
+        drives = self.drives(0.0, 10.0)
         calls = []
 
         def kernel(nodes):
@@ -706,9 +721,8 @@ class TestSweepDriver:
         assert calls == [[-1.0, 0.0, 1.0, 9.0, 10.0, 11.0]]
 
     def test_node_sweep_names_each_failing_node(self):
-        drives = [DriveConfig(Frequency(d), Frequency(1.0), Frequency(0.0),
-                              Frequency(1.0)) for d in (0.0, 10.0)]
-        kernel = partial(map, lambda drive: math.sqrt(drive.delta.rad))
+        drives = self.drives(0.0, 10.0)
+        kernel = partial(map, sqrt_of_delta)
         with pytest.raises(ValueError, match="math domain error") as err:
             _node_sweep(kernel, drives, np.array([-11.0, 0.0, 1.0]))
         (note,) = err.value.__notes__
