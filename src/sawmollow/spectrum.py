@@ -99,11 +99,15 @@ def _regression_source(fs) -> np.ndarray:
     return d
 
 
+_HEALTH_KEYS = ("floquet_residual", "n_harmonics", "rho_ee_bar",
+                "min_intensity_preclip")
+
+
 def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
     """Yields (intensity, lines, health) of drives on a valid grid, before
     any instrument: the clipped intensity, the coherent weights keyed by
-    order k, and (rho_ee_bar, floquet_residual, n_harmonics,
-    min_intensity_preclip).
+    order k, and the health values in the order of the meta keys
+    _HEALTH_KEYS.
 
     The incoherent part is the exact phase-averaged Floquet resolvent (see
     the module docstring), truncated at the harmonic order the limit cycle
@@ -131,7 +135,7 @@ def _node_spectra(drives, emitter: EmitterParams, freqs, floquet_tol):
             raise ValueError("intensity must be finite")
         coh_w = (fs.harmonics[:, 1] * fs.harmonics[::-1, 0]).real
         keep = coh_w > 1e-14 * max(rho, 1e-300)
-        health = (rho, fs.residual, fs.n_harmonics, float(np.min(intensity)))
+        health = (fs.residual, fs.n_harmonics, rho, float(np.min(intensity)))
         yield (_clip(intensity),
                dict(zip(fs.orders[keep].tolist(), coh_w[keep])), health)
 
@@ -292,11 +296,9 @@ def spectrum_map(sweep, emitter: EmitterParams, freqs,
         orders = sorted(merged)
         coh_f = np.array(orders, dtype=np.int64) * drive.omega_S.rad
         coh_w = np.array([merged[k] for k in orders])
-        rho, residual, n_harmonics, preclip = zip(*health)
-        meta = {"floquet_residual": max(residual),
-                "n_harmonics": max(n_harmonics),
-                "rho_ee_bar": _node_sum(weights, rho),
-                "min_intensity_preclip": min(preclip)}
+        residual, n_harmonics, rho, preclip = zip(*health)
+        meta = dict(zip(_HEALTH_KEYS, (max(residual), max(n_harmonics),
+                                      _node_sum(weights, rho), min(preclip))))
         if fwhm > 0:
             intensity = _etalon(freqs, intensity, coh_f, coh_w, fwhm)
             coh_f = coh_w = None

@@ -431,12 +431,10 @@ class TestSpectralDiffusion:
             np.array(orders) * drive_resonant.omega_S.rad).tobytes())
         assert (piped.coherent_weights.tobytes()
                 == np.array([lines[k] for k in orders]).tobytes())
-        rho, residual, n_harmonics, preclip = health
         assert list(piped.meta) == ["floquet_residual", "n_harmonics",
                                     "rho_ee_bar", "min_intensity_preclip"]
         assert ([np.float64(v).tobytes() for v in piped.meta.values()]
-                == [np.float64(v).tobytes()
-                    for v in (residual, n_harmonics, rho, preclip)])
+                == [np.float64(v).tobytes() for v in health])
 
     def test_narrow_line_broadens_to_gaussian_width(self):
         """A detuning-tracking line much narrower than the diffusion width
@@ -469,7 +467,7 @@ class TestSpectralDiffusion:
         offsets, weights = _diffusion_nodes(model.diffusion_fwhm.rad, 21)
         nodes = [one_node(drive.replace_delta(off), emitter, spec.freqs)[2]
                  for off in offsets]
-        rho, residuals, n_harmonics, preclip = zip(*nodes)
+        residuals, n_harmonics, rho, preclip = zip(*nodes)
         assert spec.meta["floquet_residual"] == max(residuals)
         assert max(residuals) > residuals[0]
         assert spec.meta["n_harmonics"] == max(n_harmonics)
@@ -538,15 +536,31 @@ class TestEtalon:
                                                               rel=1e-6)
 
     def test_zero_width_is_identity(self, emitter, drive_resonant):
-        """An etalon of zero width is left out: the spectrum keeps its
-        intensity and its coherent lines."""
+        """An etalon of zero width is left out, its window check too: a
+        window wider than its free spectral range passes, and the spectrum
+        keeps its intensity and its coherent lines."""
         freqs = uniform_grid(9.9, 301)
         (bare,) = spectrum_map([drive_resonant], emitter, freqs)
-        (spec,) = spectrum_map([drive_resonant], emitter, freqs,
-                               InstrumentModel(etalon_fwhm=Frequency(0.0)))
+        narrow = InstrumentModel(etalon_fsr=Frequency.from_ghz(1.0))
+        (spec,) = spectrum_map([drive_resonant], emitter, freqs, narrow)
         assert spec.intensity.tobytes() == bare.intensity.tobytes()
+        assert spec.coherent_freqs.tobytes() == bare.coherent_freqs.tobytes()
         assert spec.coherent_weights.tobytes() == bare.coherent_weights.tobytes()
         assert spec.coherent_freqs.size > 0
+
+    def test_pipeline_folds_lines_into_intensity(self, emitter,
+                                                 drive_resonant):
+        """Through spectrum_map, the etalon folds the coherent lines into
+        the intensity and drops them, so their weight counts once."""
+        freqs = uniform_grid(9.9, 301)
+        (bare,) = spectrum_map([drive_resonant], emitter, freqs)
+        model = InstrumentModel(etalon_fwhm=Frequency(self.fwhm))
+        (spec,) = spectrum_map([drive_resonant], emitter, freqs, model)
+        assert bare.coherent_total > 0.0
+        assert spec.coherent_freqs.size == 0
+        assert spec.coherent_weights.size == 0
+        assert band_integral(spec) == pytest.approx(
+            band_integral(bare) + bare.coherent_total, rel=1e-6)
 
 
 class TestSpectrumMap:
