@@ -43,7 +43,7 @@ _MAX_HARMONICS = 768   # truncation order past which harmonic balance gives up
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the last good time.  Like
-    ConvergenceError, it keeps its fields in args so that it pickles."""
+    ConvergenceError, it keeps its fields in args so callers can pickle it."""
 
     def __init__(self, message: str, t_last: float):
         super().__init__(message, t_last)

@@ -216,7 +216,7 @@ FLAGS = {
     "points": dict(type=int, default=2001, above=1),
     "nodes": dict(type=int,
                   help="Gauss-Hermite nodes for the diffusion average"),
-    "jobs": dict(type=int, default=1, help="parallel workers"),
+    "jobs": dict(type=int, default=1, help="threads, up to the usable CPUs"),
     "tol": dict(type=float,
                 help="harmonic-balance (Floquet) residual tolerance"),
     "init-rabi-s-ghz": dict(type=float, default=1.0, unit="GHz"),

@@ -202,7 +202,7 @@ def cooling_map(deltas, rabi_Ls, emitter: EmitterParams,
     Per grid point: Floquet period-averaged excited population and
     closed-form rate at each Gaussian detuning node, then their weighted
     average (diffusion_fwhm = 0 is one node of weight 1).  jobs > 1 spreads
-    the solves over worker processes.
+    the solves over threads, but this scalar kernel holds the GIL.
     """
     if not floquet_tol > 0:
         raise ValueError("tol must be positive")
@@ -486,7 +486,7 @@ def cooling_performance_map(deltas, rabi_Ls, cfg: LindbladConfig,
 
     The Gaussian detuning average is applied to C and m_ss per grid point.
     Each solve sizes its own Fock space as lindblad_steady_state does.
-    jobs > 1 spreads the solves over worker processes.
+    jobs > 1 spreads the solves over threads.
     """
     offsets, weights = _diffusion_nodes(_as_rad(diffusion_fwhm), n_nodes)
     kernel = partial(_performance_point, cfg)

@@ -174,10 +174,11 @@ def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
     """kernel, mapping a list of drives to their results, over every drive
     shifted to every detuning offset of :func:`_diffusion_nodes`; returns
     each drive's node results in node order.  With jobs > 1, contiguous
-    chunks run in a pool of min(jobs, nodes, usable CPUs) processes.  Every
-    node runs even when some fail (:func:`_outcomes`); the first failure is
-    then re-raised with its own class and a note naming the drive index,
-    node and message of every failing node."""
+    chunks run on min(jobs, nodes, usable CPUs) threads, which share the
+    serial run's caches and BLAS configuration; numpy and SuperLU release
+    the GIL.  Every node runs even when some fail (:func:`_outcomes`); the
+    first failure is then re-raised with its own class and a note naming
+    the drive index, node and message of every failing node."""
     n = len(offsets)
     items = [drive.replace_delta(drive.delta.rad + off)
              for drive in drives for off in offsets]
@@ -187,15 +188,12 @@ def _node_sweep(kernel, drives, offsets, jobs: int = 1) -> list:
             else os.cpu_count() or 1)
     workers = min(jobs, len(items), cpus)
     if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # A few contiguous chunks per worker balance the load and keep the
-        # per-item messaging cost out of the sweep.
+        from concurrent.futures import ThreadPoolExecutor
+        # A few contiguous chunks per worker balance the load and keep
+        # batched kernels batched.
         size = -(-len(items) // (4 * workers))
         chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        # Spawn, not fork: forking a process that holds BLAS threads is unsafe.
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             futures = [pool.submit(_outcomes, kernel, c) for c in chunks]
         outcomes = [o for future in futures for o in future.result()]
     else:

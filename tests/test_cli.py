@@ -892,12 +892,13 @@ class TestConfigRoundTrip:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces the process pool by one that records its size and runs its
-    tasks inline; returns the list of recorded sizes."""
+    """Replaces the thread pool by one that records its size and runs its
+    tasks inline, so that no thread starts whatever the size; returns the
+    list of recorded sizes."""
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -911,7 +912,7 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     return started
 
 
@@ -930,7 +931,10 @@ class TestJobsEnvironment:
         ["lindblad-map", "--temp-k", 0.1, "--m-max", 10, "--delta-points", 2,
          "--rabi-points", 2, "--nodes", 3],
         ["spectrum", "--diffusion-mhz", 678, "--nodes", 5, "--window-ghz", 4,
-         "--points", 41]])
+         "--points", 41],
+        ["lindblad-map", "--temp-k", 1, "--delta-start", -2,
+         "--delta-stop", -1, "--delta-points", 2, "--rabi-start", 2,
+         "--rabi-stop", 2, "--rabi-points", 1, "--diffusion-mhz", 0]])
     def test_jobs_do_not_change_cooling_map_bytes(self, tmp_path, args):
         serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
         assert run(args + ["--jobs", 1, "--out", serial]) == 0

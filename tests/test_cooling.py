@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -575,14 +577,33 @@ class TestPerformanceMap:
             assert math.copysign(1.0, lmap.cooling_C[i, 0]) == \
                 math.copysign(1.0, semi)
 
-    def test_parallel_jobs_match_serial(self, emitter, cavity):
+    def test_parallel_jobs_match_serial(self, emitter, cavity, monkeypatch):
+        """Four threads (usable CPUs patched to four) on cleared Liouvillian
+        caches, switching every microsecond, build the shared cache entries
+        concurrently and still give the serial map bit for bit."""
+        from sawmollow.cooling import _band_cells, _liouvillian_parts
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         deltas = [Frequency.from_ghz(d) for d in (-3.0, 2.0)]
         rabis = [Frequency.from_ghz(r) for r in (1.5, 2.5)]
         cfg = LindbladConfig(emitter, DriveConfig.from_ghz(0, 2.0, 0, 3.5299),
                              cavity, temperature=0.1, m_max=10)
-        maps = [cooling_performance_map(deltas, rabis, cfg,
-                                        Frequency.from_ghz(0.678), 3,
-                                        jobs=jobs) for jobs in (1, 2)]
+
+        def run(jobs):
+            return cooling_performance_map(deltas, rabis, cfg,
+                                           Frequency.from_ghz(0.678), 3,
+                                           jobs=jobs)
+
+        _band_cells.cache_clear()
+        _liouvillian_parts.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(4)
+        finally:
+            sys.setswitchinterval(interval)
+        maps = [run(1), threaded]
         assert np.array_equal(maps[0].cooling_C, maps[1].cooling_C)
         assert np.array_equal(maps[0].m_ss, maps[1].m_ss)
         assert maps[0].worst_trace_error == maps[1].worst_trace_error

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -56,8 +58,7 @@ def node_bytes(node):
             np.array(health, dtype=float).tobytes())
 
 
-# Item functions of sweep kernels, at module level so that worker processes
-# can unpickle them.
+# Item functions of the sweep kernels that TestSweepDriver maps over nodes.
 def node_delta(drive):
     return drive.delta.rad
 
@@ -733,6 +734,24 @@ class TestSweepDriver:
         results = _node_sweep(kernel, drives, np.array([-1.0, 0.0, 1.0]))
         assert results == [[-1.0, 0.0, 1.0], [9.0, 10.0, 11.0]]
         assert calls == [[-1.0, 0.0, 1.0, 9.0, 10.0, 11.0]]
+
+    def test_two_jobs_run_their_chunks_concurrently(self, monkeypatch):
+        """jobs=2 on two CPUs runs the two one-node chunks at once: each
+        waits for the other at a barrier.  Chunks run one after the other
+        would break it, and the sweep would raise BrokenBarrierError."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        barrier = threading.Barrier(2, timeout=5)
+
+        def kernel(nodes):
+            out = []
+            for drive in nodes:
+                barrier.wait()
+                out.append(drive.delta.rad)
+            return out
+
+        results = _node_sweep(kernel, self.drives(0.0, 10.0), np.zeros(1), 2)
+        assert results == [[0.0], [10.0]]
 
     def test_node_sweep_names_each_failing_node(self):
         drives = self.drives(0.0, 10.0)
